@@ -13,9 +13,9 @@ import dataclasses
 import math
 from typing import Iterable
 
-from .gauss import g_r, quantum_int_laurent
+from .gauss import _require_level, g_r, quantum_int_laurent
 from .links import BraidWord, LinkingMatrix, j_invariant, signature_counts
-from .moo import moo_fast, moo_invariant
+from .moo import _require_odd, moo_fast, moo_invariant
 from .rings import (
     CycloElem,
     CycloFraction,
@@ -53,11 +53,6 @@ class ObstructionVerdict:
     satisfied: bool
     witness: Witness | None
     context: tuple[int, int]  # (r or N, p)
-
-
-def _require_level(r: int) -> None:
-    if r < 5 or r % 2 == 0:
-        raise ValueError("level must be an odd integer >= 5")
 
 
 def _require_prime(p: int) -> None:
@@ -191,8 +186,7 @@ def check_thm_5_1(
         matrix = LinkingMatrix.from_rows(matrix)
     if not isinstance(matrix_bar, LinkingMatrix):
         matrix_bar = LinkingMatrix.from_rows(matrix_bar)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("the invariant is defined for odd N >= 3")
+    _require_odd(n)
     for b in (matrix, matrix_bar):
         if signature_counts(b).nullity != 0:
             raise ValueError("linking matrix must be nondegenerate")

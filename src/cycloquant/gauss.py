@@ -41,18 +41,6 @@ def quantum_int(n: int, order: int) -> CycloElem:
 # quadratic sums
 
 
-@dataclasses.dataclass(frozen=True)
-class GaussSumSpec:
-    """A quadratic exponential sum: sum of A^(multiplier * j^2), j = 0..length-1."""
-
-    multiplier: int
-    length: int
-    order: int
-
-    def compute(self) -> CycloElem:
-        return gauss_sum(self.multiplier, self.length, self.order)
-
-
 def gauss_sum(a: int, n: int, order: int) -> CycloElem:
     """Sum of A^(a * j^2) for j = 0..n-1, in the quotient of the given order."""
     if n < 0:
@@ -130,10 +118,12 @@ def g_r(r: int) -> GrResult:
     k = 3 * r
     lead = CycloElem.a_power(k, (-36) % k)
     value = CycloFraction(lead * s1(r) ** 2 * s2(r) ** 2, 3 * r * r)
-    ratio = eta_plus(r) / eta_minus(r)
-    if value == ratio:
+    # value == epsilon * eta_plus / eta_minus is decided as
+    # value * eta_minus == epsilon * eta_plus, which needs no inverse
+    scaled = value * eta_minus(r)
+    if scaled == eta_plus(r):
         epsilon = 1
-    elif value == -ratio:
+    elif scaled == -eta_plus(r):
         epsilon = -1
     else:  # pragma: no cover - would indicate an arithmetic bug
         raise ArithmeticError("G_r does not match the eta ratio up to sign")

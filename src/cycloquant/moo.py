@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .gauss import gauss_sum
 from .links import LinkingMatrix, signature_counts
-from .rings import CycloElem, CycloFraction, LaurentPoly, reduce
+from .rings import CycloElem, CycloFraction, LaurentPoly, prime_factors, reduce
 
 # ---------------------------------------------------------------------------
 # the value type
@@ -151,22 +151,6 @@ def moo_invariant(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> Mo
 # fast path: CRT plus symmetric elimination
 
 
-def _prime_power_factors(n: int) -> list[int]:
-    factors = []
-    d, rest = 2, n
-    while d * d <= rest:
-        if rest % d == 0:
-            q = 1
-            while rest % d == 0:
-                rest //= d
-                q *= d
-            factors.append(q)
-        d += 1
-    if rest > 1:
-        factors.append(rest)
-    return factors
-
-
 def _diagonalize_mod_q(rows: list[list[int]], q: int, p: int) -> tuple[list[int], list[list[int]]]:
     """Symmetric elimination of the form mod q = p^e.
 
@@ -229,8 +213,10 @@ def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
     if matrix.size == 0:
         return CycloElem.one(n)
     total = CycloElem.one(n)
-    for q in _prime_power_factors(n):
-        p = _smallest_prime_divisor(q)
+    for p in sorted(prime_factors(n)):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
         cofactor = n // q
         # idempotent: 1 mod q, 0 mod n/q
         e_q = (cofactor * pow(cofactor, -1, q)) % n if cofactor > 1 else 1
@@ -246,15 +232,6 @@ def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
             part = part * _block_bracket(residual, q, e_q, n)
         total = total * part
     return total
-
-
-def _smallest_prime_divisor(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
 
 
 def moo_fast(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValue:

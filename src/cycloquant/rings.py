@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import math
 import re
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 
@@ -41,30 +40,66 @@ class DenominatorNotInvertibleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# dense Z[X] helpers (list index = exponent, trailing zeros trimmed)
+# the dense polynomial kernel (list index = exponent, trailing zeros trimmed)
 
 
-def _zx_trim(a: list[int]) -> list[int]:
+def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _zx_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Long division by a monic divisor; stays in Z."""
-    if not b or b[-1] != 1:
+def _divmod(a: Sequence[int], b: Sequence[int], p: int = 0) -> tuple[list[int], list[int]]:
+    """Long division of dense polynomials over Z (p = 0) or over F_p (p prime).
+
+    Over Z the divisor must be monic, so everything stays integral.  Over
+    F_p the lead coefficient is inverted and the remainder is reduced
+    mod p once at the end; each quotient coefficient is reduced as it is
+    found, so the intermediate remainder only grows linearly.
+    """
+    if p:
+        if not b or b[-1] % p == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        inv_lead = pow(b[-1], -1, p)
+    elif not b or b[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(a)
     deg_b = len(b) - 1
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]  # Phi_k is often sparse
     quo = [0] * max(len(rem) - deg_b, 0)
     for i in range(len(rem) - 1, deg_b - 1, -1):
-        c = rem[i]
+        c = rem[i] * inv_lead % p if p else rem[i]
         if c == 0:
             continue
         quo[i - deg_b] = c
-        for j, bj in enumerate(b):
+        for j, bj in b_terms:
             rem[i - deg_b + j] -= c * bj
-    return quo, _zx_trim(rem)
+    if p:
+        rem = [c % p for c in rem]
+    return _trim(quo), _trim(rem)
+
+
+def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int, p: int = 0) -> tuple[int, ...]:
+    """Dense a * b mod Phi_k (over F_p when p > 0), padded to phi(k) coefficients."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    conv[i + j] += ca * cb
+    _, rem = _divmod(conv, _phi_dense(k), p)
+    return tuple(rem) + (0,) * (euler_phi(k) - len(rem))
+
+
+def _power(base, n: int, one):
+    """base**n by square-and-multiply, n >= 0, for any ring element type."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 @functools.cache
@@ -77,7 +112,7 @@ def _phi_dense(k: int) -> tuple[int, ...]:
     num: Sequence[int] = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            num, rem = _zx_divmod(num, _phi_dense(d))
+            num, rem = _divmod(num, _phi_dense(d))
             if rem:
                 raise AssertionError(f"Phi_{d} does not divide A^{k} - 1")
     return tuple(num)
@@ -181,14 +216,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
             raise ValueError("negative powers are not Laurent-polynomial valued here")
-        result = LaurentPoly({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly({0: 1}))
 
     def subst_power(self, t: int) -> LaurentPoly:
         """A |-> A^t (t nonzero), e.g. t = -1 is the mirror/conjugation map."""
@@ -234,7 +262,6 @@ class LaurentPoly:
 
 
 A = LaurentPoly.monomial(1)
-ONE = LaurentPoly.monomial(0)
 
 
 def cyclotomic_poly(k: int) -> LaurentPoly:
@@ -316,30 +343,14 @@ class CycloElem:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        conv[i + j] += ca * cb
-        _, rem = _zx_divmod(conv, _phi_dense(self.order))
-        rem += [0] * (len(a) - len(rem))
-        return CycloElem(self.order, tuple(rem))
+        return CycloElem(self.order, _mul_mod_phi(self.coeffs, o.coeffs, self.order))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> CycloElem:
         if n < 0:
             raise ValueError("negative powers need invert(); see CycloFraction")
-        result = CycloElem.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CycloElem.one(self.order))
 
     def to_laurent(self) -> LaurentPoly:
         return LaurentPoly(dict(enumerate(self.coeffs)))
@@ -374,9 +385,7 @@ def reduce(poly: LaurentPoly, order: int) -> CycloElem:
     dense = [0] * order
     for e, c in poly.terms():
         dense[e % order] += c
-    _, rem = _zx_divmod(dense, _phi_dense(order))
-    rem += [0] * (euler_phi(order) - len(rem))
-    return CycloElem(order, tuple(rem))
+    return CycloElem(order, _mul_mod_phi(dense, (1,), order))
 
 
 # ---------------------------------------------------------------------------
@@ -507,39 +516,7 @@ def to_complex(x: CycloElem | CycloFraction, which_root: int = 1) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# inversion via the extended Euclidean algorithm over Q[A]
-
-
-def _qx_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qx_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    deg_b = len(b) - 1
-    lead = b[-1]
-    quo = [Fraction(0)] * max(len(rem) - deg_b, 0)
-    for i in range(len(rem) - 1, deg_b - 1, -1):
-        if rem[i] == 0:
-            continue
-        c = rem[i] / lead
-        quo[i - deg_b] = c
-        for j, bj in enumerate(b):
-            rem[i - deg_b + j] -= c * bj
-    return _qx_trim(quo), _qx_trim(rem)
-
-
-def _qx_sub_mul(a: list[Fraction], q: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    # a - q*b
-    out = list(a) + [Fraction(0)] * max(len(q) + len(b) - 1 - len(a), 0)
-    for i, qi in enumerate(q):
-        if qi == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] -= qi * bj
-    return _qx_trim(out)
+# inversion via the Galois norm
 
 
 def invert(
@@ -547,31 +524,27 @@ def invert(
 ) -> CycloFraction:
     """Multiplicative inverse of x in the localization of Z[A^{+-1}]/(Phi_k).
 
-    The Bezout coefficient against Phi_k is computed over Q and cleared to
-    an integer denominator.  When allowed_primes is given, every prime in
-    the resulting denominator must belong to it, otherwise NotAUnitError.
+    For nonzero y in the quotient, c = prod of sigma_t(y) over the units
+    t != 1 mod k (sigma_t: A |-> A^t) satisfies y * c = N(y), the norm,
+    a nonzero integer; so 1/y = c / N(y) with no arithmetic over Q (Cohen,
+    A Course in Computational Algebraic Number Theory, 4.3).  The result is
+    normalized, so it is the unique representative of the inverse.
+    When allowed_primes is given, every prime in the normalized
+    denominator must belong to it, otherwise NotAUnitError.
     """
     frac = x if isinstance(x, CycloFraction) else CycloFraction(x, 1)
-    if not frac.num:
+    y = frac.num
+    if not y:
         raise ZeroDivisionError("cannot invert zero")
     k = frac.order
-    f = _qx_trim([Fraction(c) for c in frac.num.coeffs])
-    g = [Fraction(c) for c in _phi_dense(k)]
-    # extended Euclid tracking only the coefficient of f
-    r0, r1 = f, g
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _qx_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _qx_sub_mul(s0, q, s1)
-    if len(r0) != 1:
-        # Phi_k is irreducible over Q, so this means x was a multiple of it
-        raise ZeroDivisionError("cannot invert zero")
-    u = [c / r0[0] for c in s0]
-    denom = math.lcm(*(c.denominator for c in u)) if u else 1
-    ints = [int(c * denom) for c in u]
-    elem = reduce(LaurentPoly(dict(enumerate(ints))), k)
-    result = CycloFraction(elem * frac.den, denom)
+    c = CycloElem.one(k)
+    for t in range(2, k):
+        if math.gcd(t, k) == 1:
+            c = c * y.galois(t)
+    norm = (y * c).coeffs
+    if any(norm[1:]):  # pragma: no cover - would indicate an arithmetic bug
+        raise ArithmeticError("the norm is not an integer")
+    result = CycloFraction(c * frac.den, norm[0])
     if allowed_primes is not None:
         allowed = set(allowed_primes)
         bad = prime_factors(result.den) - allowed
@@ -586,38 +559,11 @@ def invert(
 # mod-p quotients F_p[A]/(Phi_k mod p)
 
 
-@functools.cache
-def _phi_mod(k: int, p: int) -> tuple[int, ...]:
-    return tuple(c % p for c in _phi_dense(k))
-
-
-def _fpx_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fpx_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [c % p for c in a]
-    deg_b = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * max(len(rem) - deg_b, 0)
-    for i in range(len(rem) - 1, deg_b - 1, -1):
-        if rem[i] == 0:
-            continue
-        c = rem[i] * inv_lead % p
-        quo[i - deg_b] = c
-        for j, bj in enumerate(b):
-            rem[i - deg_b + j] = (rem[i - deg_b + j] - c * bj) % p
-    return _fpx_trim(quo), _fpx_trim(rem)
-
-
-def _fpx_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    r0, r1 = _fpx_trim([c % p for c in a]), _fpx_trim([c % p for c in b])
+def _gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p of two dense polynomials."""
+    r0, r1 = _trim([c % p for c in a]), _trim([c % p for c in b])
     while r1:
-        _, r = _fpx_divmod(r0, r1, p)
+        _, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
     if r0:
         inv_lead = pow(r0[-1], -1, p)
@@ -698,30 +644,16 @@ class ModCycloElem:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        conv[i + j] += ca * cb
-        _, rem = _fpx_divmod(conv, _phi_mod(self.order, self.p), self.p)
-        rem += [0] * (len(a) - len(rem))
-        return ModCycloElem(self.order, self.p, tuple(rem))
+        return ModCycloElem(
+            self.order, self.p, _mul_mod_phi(self.coeffs, o.coeffs, self.order, self.p)
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> ModCycloElem:
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        result = ModCycloElem.one(self.order, self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ModCycloElem.one(self.order, self.p))
 
     def __str__(self) -> str:
         poly = LaurentPoly(dict(enumerate(self.coeffs)))
@@ -771,10 +703,10 @@ def ideal_membership_cyclo(f: ModCycloElem, g: LaurentPoly, p: int, k: int) -> b
     g_bar = _laurent_mod_p_cleared(g, p)
     if not g_bar:
         return not any(f.coeffs)
-    d = _fpx_gcd(_phi_mod(k, p), g_bar, p)
+    d = _gcd_mod_p(_phi_dense(k), g_bar, p)
     if len(d) <= 1:
         return True  # unit ideal
-    _, rem = _fpx_divmod(f.coeffs, d, p)
+    _, rem = _divmod(f.coeffs, d, p)
     return not rem
 
 
@@ -789,7 +721,7 @@ def ideal_gcd_poly(g: LaurentPoly, p: int, k: int) -> tuple[int, ...]:
     g_bar = _laurent_mod_p_cleared(g, p)
     if not g_bar:
         return ()
-    return tuple(_fpx_gcd(_phi_mod(k, p), g_bar, p))
+    return tuple(_gcd_mod_p(_phi_dense(k), g_bar, p))
 
 
 def laurent_ideal_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
@@ -807,7 +739,7 @@ def laurent_ideal_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
     g_bar = _laurent_mod_p_cleared(g, p)
     if not g_bar:
         return False
-    _, rem = _fpx_divmod(f_bar, g_bar, p)
+    _, rem = _divmod(f_bar, g_bar, p)
     return not rem
 
 

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from cycloquant.gauss import (
-    GaussSumSpec,
     eta_minus,
     eta_plus,
     g_r,
@@ -54,8 +53,7 @@ def test_quantum_int_rejects_negative():
 def test_gauss_sum_examples():
     assert str(gauss_sum(1, 3, 3)) == "1 + 2A"
     assert gauss_sum(0, 5, 15) == CycloElem.one(15) * 5
-    spec = GaussSumSpec(multiplier=6, length=5, order=15)
-    assert spec.compute() == s1(5)
+    assert gauss_sum(6, 5, 15) == s1(5)
 
 
 def test_gauss_sum_period_extension():

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycloquant.rings import (
     CycloElem,
@@ -51,6 +54,16 @@ def test_phi_small():
 
 def test_phi_15_golden_string():
     assert str(cyclotomic_poly(15)) == "1 - A + A^3 - A^4 + A^5 - A^7 + A^8"
+
+
+def test_phi_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for k in list(range(1, 61)) + [69, 105, 231]:
+        want = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
+        phi = cyclotomic_poly(k)
+        assert [phi.coeff(e) for e in range(len(want))] == want, k
+        assert phi.max_exp == len(want) - 1, k
 
 
 def test_phi_product_is_a_k_minus_1():
@@ -192,13 +205,32 @@ def test_invert_zero_raises():
 
 def test_invert_random_multiply_back():
     rng = random.Random(99)
-    done = 0
-    while done < 20:
-        x = CycloFraction(reduce(_random_laurent(rng, 4, 10), 15), rng.randint(1, 6))
-        if not x:
+    for k in (15, 2, 3, 4, 6, 8, 12, 20, 21, 30):
+        done = 0
+        while done < 20:
+            x = CycloFraction(reduce(_random_laurent(rng, 4, 10), k), rng.randint(1, 6))
+            if not x:
+                continue
+            assert x * invert(x) == 1, (k, x)
+            done += 1
+
+
+@pytest.mark.parametrize("k", [2, 4, 12, 15, 21, 69, 105])
+def test_invert_matches_sympy(k):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(k, x)
+    rng = random.Random(k)
+    for _ in range(3):
+        y = CycloFraction(reduce(_random_laurent(rng, 5, 2 * k), k), rng.randint(1, 9))
+        if not y:
             continue
-        assert x * invert(x) == 1
-        done += 1
+        expr = sum(c * x**i for i, c in enumerate(y.num.coeffs)) / y.den
+        want = sympy.Poly(sympy.invert(expr, phi, x, domain=sympy.QQ), x).all_coeffs()[::-1]
+        want = [Fraction(str(c)) for c in want]
+        inv = invert(y)
+        got = [Fraction(c, inv.den) for c in inv.num.coeffs]
+        assert got == want + [0] * (len(got) - len(want)), (k, y)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +259,19 @@ def test_reduce_mod_p_is_ring_homomorphism():
             y = reduce(_random_laurent(rng), 15)
             assert reduce_mod_p(x * y, p) == reduce_mod_p(x, p) * reduce_mod_p(y, p)
             assert reduce_mod_p(x + y, p) == reduce_mod_p(x, p) + reduce_mod_p(y, p)
+
+
+@given(
+    data=st.data(),
+    k=st.sampled_from([2, 3, 4, 6, 9, 12, 15, 21, 35]),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 101]),
+)
+def test_reduce_mod_p_is_multiplicative_property(data, k, p):
+    # ties the Z and F_p branches of the shared division kernel together
+    coeffs = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=2 * k)
+    x = reduce(LaurentPoly(dict(enumerate(data.draw(coeffs)))), k)
+    y = reduce(LaurentPoly(dict(enumerate(data.draw(coeffs)))), k)
+    assert reduce_mod_p(x * y, p) == reduce_mod_p(x, p) * reduce_mod_p(y, p)
 
 
 # ---------------------------------------------------------------------------
