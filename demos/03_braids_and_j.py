@@ -5,9 +5,9 @@ Braid closures and the J invariant
 Links enter as braid words: a positive integer i is a positive
 crossing of strands i and i+1, a negative integer its inverse. The
 closure ties the braid's top back to its bottom. J is an exact
-Laurent-polynomial invariant of the closure computed by a skein
-recursion; an unknotted circle contributes the loop factor
-A^-6 + 1 + A^6.
+Laurent-polynomial invariant of the closure, computed as a Markov trace
+on the Hecke algebra of the braid group; an unknotted circle
+contributes the loop factor A^-6 + 1 + A^6.
 """
 
 from cycloquant import BraidWord, closure_components, j_invariant, parse_laurent

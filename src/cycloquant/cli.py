@@ -123,7 +123,7 @@ def _cmd_powers(args) -> int:
 
 def _cmd_jinv(args) -> int:
     link = _load_braid(args.braid)
-    print(j_invariant(link.braid, max_crossings=args.max_crossings))
+    print(j_invariant(link.braid))
     return 0
 
 
@@ -239,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jinv", help="J invariant of a braid closure")
     p.add_argument("--braid", required=True, metavar="FILE")
-    p.add_argument("--max-crossings", type=int, default=64)
     p.set_defaults(func=_cmd_jinv)
 
     p = sub.add_parser("lkmatrix", help="linking matrix of a framed braid closure")

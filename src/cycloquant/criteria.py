@@ -135,19 +135,21 @@ def check_cor_1_2(v: CycloFraction, r: int, p: int) -> ObstructionVerdict:
     k = 3 * r
     if v.order != k:
         raise ValueError(f"invariant value must live at order {k}")
-    v_p = reduce_mod_p(v, p)
+    # v = eps A^s G^alpha iff v G^-alpha = eps A^s; k = 3r and p are odd,
+    # so the 2k values +-A^s are distinct and a lookup finds the only s
+    s_of = {
+        reduce_mod_p(CycloElem.a_power(k, s), p).coeffs: s for s in range(k)
+    }
     g_img = reduce_mod_p(g_r(r).value, p)
-    a_img = reduce_mod_p(CycloFraction(CycloElem.a_power(k, 1)), p)
-    g_pow = ModCycloElem.one(k, p)
-    for alpha in range(_multiplicative_order(g_img)):
-        a_pow = g_pow
-        for s in range(k):
-            if v_p == a_pow:
-                return ObstructionVerdict(True, Witness(1, s, alpha), (r, p))
-            if v_p == -a_pow:
-                return ObstructionVerdict(True, Witness(-1, s, alpha), (r, p))
-            a_pow = a_pow * a_img
-        g_pow = g_pow * g_img
+    order = _multiplicative_order(g_img)
+    g_inv = g_img ** (order - 1)
+    w = reduce_mod_p(v, p)
+    for alpha in range(order):
+        for eps, x in ((1, w), (-1, -w)):
+            s = s_of.get(x.coeffs)
+            if s is not None:
+                return ObstructionVerdict(True, Witness(eps, s, alpha), (r, p))
+        w = w * g_inv
     return ObstructionVerdict(False, None, (r, p))
 
 

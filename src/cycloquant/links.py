@@ -9,14 +9,19 @@ J is valued in the Laurent ring Z[A^(+-1)] and satisfies
     J(empty) = 1,
     J(circle union L) = (A^-6 + 1 + A^6) J(L),
     A^9 J(L+) - A^-9 J(L-) = (A^3 - A^-3) J(L0).
-It is computed by switching crossings toward a descending diagram in a
-fixed strand sweep; the sweep order is a tunable heuristic and the
-result does not depend on it.
+This is the HOMFLYPT skein relation at v = A^-9, z = A^3 - A^-3, so on
+a closed braid J is a Markov trace on the Hecke algebra H_n: the word is
+multiplied into H_n in the permutation basis T_w, one letter at a time,
+and the trace is taken strand by strand. The cost is linear in the
+word length. The skein recursion that switches crossings toward a
+descending diagram is kept as j_skein, the oracle the tests check
+j_invariant against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +29,7 @@ from .rings import LaurentPoly
 
 
 class RecursionBudgetExceeded(RuntimeError):
-    """Raised when a skein evaluation outgrows its configured budget."""
+    """Raised when a J evaluation outgrows its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,10 @@ def signature_counts(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> SigTrip
     core = asc[nullity:]
     plus = _sign_changes(core)
     minus = _sign_changes([c if i % 2 == 0 else -c for i, c in enumerate(core)])
-    assert plus + minus + nullity == m
+    if plus + minus + nullity != m:
+        raise ArithmeticError(
+            f"inertia counts {plus} + {minus} + {nullity} do not add up to {m}"
+        )
     return SigTriple(plus, minus, nullity)
 
 
@@ -272,6 +280,121 @@ _SWITCH_POS = LaurentPoly.monomial(-18)
 _SMOOTH_POS = LaurentPoly({-6: 1, -12: -1})
 _SWITCH_NEG = LaurentPoly.monomial(18)
 _SMOOTH_NEG = LaurentPoly({6: 1, 12: -1})
+
+# Production path: J of the closure of b is the Markov trace of b's image
+# in the Hecke algebra H_n. The skein relation at one crossing reads
+#     T_i = A^-18 T_i^-1 + (A^-6 - A^-12),   T_i^-1 = A^18 T_i + (A^6 - A^12),
+# the switch and smoothing coefficients below; equivalently
+# T_i^2 = (A^-6 - A^-12) T_i + A^-18. An element of H_n is a
+# dict from permutation w (a tuple, w[k] the image of k) to its
+# coefficient on T_w; a coefficient is an {exponent: integer} dict in A,
+# never mutated once it is stored in an element.
+
+_LOOP_TERMS = _LOOP.terms()
+_STEP = {  # letter sign -> (smoothing terms, switch exponent)
+    1: (_SMOOTH_POS.terms(), _SWITCH_POS.min_exp),
+    -1: (_SMOOTH_NEG.terms(), _SWITCH_NEG.min_exp),
+}
+_TERM_BUDGET = 5040  # = 7!, so every braid on at most 7 strands fits
+
+
+def _add_scaled(acc: dict, c: dict, terms) -> None:
+    """acc += c * sum(f A^d for d, f in terms)."""
+    for d, f in terms:
+        for e, x in c.items():
+            acc[e + d] = acc.get(e + d, 0) + f * x
+
+
+def _within_budget(elem: dict) -> dict:
+    if len(elem) > _TERM_BUDGET:
+        raise RecursionBudgetExceeded(
+            f"Hecke element has {len(elem)} terms, budget is {_TERM_BUDGET}"
+        )
+    return elem
+
+
+def _times_letter(elem: dict, g: int) -> dict:
+    """elem * T_g for g > 0, elem * T_{-g}^-1 for g < 0."""
+    i = abs(g)
+    smooth, switch = _STEP[1 if g > 0 else -1]
+    out = {}
+    for w, c in elem.items():
+        ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+        if (w[i - 1] < w[i]) == (g > 0):
+            # T_w T_i = T_ws when the length goes up, and T_w T_i^-1 = T_ws
+            # when it goes down; if ws carries a term of its own, the pair
+            # is handled from ws's side
+            if ws not in elem:
+                out[ws] = c
+            continue
+        # otherwise T_w T_i^(+-1) = smooth T_w + A^switch T_ws, and the
+        # term on ws moves onto w
+        acc = dict(elem.get(ws, ()))
+        _add_scaled(acc, c, smooth)
+        acc = {e: x for e, x in acc.items() if x}
+        if acc:
+            out[w] = acc
+        out[ws] = {e + switch: x for e, x in c.items()}
+    return _within_budget(out)
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _markov(w: tuple[int, ...]) -> tuple:
+    """tr_n(T_w) as tr_{n-1} of an element of H_{n-1}, as (v, terms) pairs.
+
+    If w fixes the last strand, T_w lies in H_{n-1} and the strand closes
+    to a loop. Otherwise w = c u with c = s_{j+1} ... s_{n-1} reduced,
+    j = w[n-1] and u fixing the last strand, so
+    tr_n(T_w) = tr_n(T_{j+1} ... T_{n-1} T_u) = tr_{n-1}(T_u T_{j+1} ... T_{n-2})
+    by cyclicity and tr_n(x T_{n-1}) = tr_{n-1}(x), which holds because J
+    does not depend on framing.
+    """
+    n = len(w)
+    j = w[-1]
+    u = tuple(x - (x > j) for x in w[:-1])
+    if j == n - 1:
+        return ((u, _LOOP_TERMS),)
+    elem = {u: {0: 1}}
+    for g in range(j + 1, n - 1):
+        elem = _times_letter(elem, g)
+    return tuple((v, tuple(c.items())) for v, c in elem.items())
+
+
+def _trace(elem: dict, n: int) -> dict:
+    """The Markov trace of an element of H_n, one strand at a time."""
+    for _ in range(n):
+        out: dict = {}
+        for w, c in elem.items():
+            for v, terms in _markov(w):
+                _add_scaled(out.setdefault(v, {}), c, terms)
+        elem = {}
+        for v, acc in out.items():
+            acc = {e: x for e, x in acc.items() if x}
+            if acc:
+                elem[v] = acc
+        _within_budget(elem)
+    return elem.get((), {})
+
+
+def j_invariant(b: BraidWord) -> LaurentPoly:
+    """J of the closure of b, as an exact Laurent polynomial.
+
+    Multiplies T_g (T_{-g}^-1 for a negative letter) into H_n one letter
+    at a time, then takes the Markov trace, normalised so that a closed
+    loop counts [3] = A^-6 + 1 + A^6. The cost is linear in word length
+    times the number of basis terms; an intermediate element with more
+    than 7! terms raises RecursionBudgetExceeded, so every braid on at
+    most 7 strands is answered.
+    """
+    elem = {tuple(range(b.strands)): {0: 1}}
+    for g in b.word:
+        elem = _times_letter(elem, g)
+    return LaurentPoly(_trace(elem, b.strands))
+
+
+# Oracle: the skein recursion, switching crossings toward a descending
+# diagram in a strand sweep. Exponential in crossings; the tests check
+# j_invariant against it.
 
 _NODE_BUDGET = 500_000
 
@@ -353,10 +476,10 @@ def _analyze(n: int, word: tuple[int, ...], priority: Sequence[int]):
     return ("sum", _SWITCH_NEG, switched, _SMOOTH_NEG, smoothed)
 
 
-def j_invariant(
+def j_skein(
     b: BraidWord, *, traversal_seed: int | None = None, max_crossings: int = 64
 ) -> LaurentPoly:
-    """J of the closure of b, as an exact Laurent polynomial.
+    """J of the closure of b by the skein recursion; the test oracle.
 
     traversal_seed shuffles the strand sweep used to pick crossings;
     any seed yields the same value. max_crossings caps the input word

@@ -6,6 +6,7 @@ printed ring element must reparse to an equal value.
 """
 
 import json
+import time
 
 import pytest
 
@@ -115,6 +116,18 @@ def test_jinv_default_framings(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "jinv", "--braid", path)
     assert code == 0
     assert out == "A^-6 + 1 + A^6\n"
+
+
+def test_jinv_over_budget_exits_2_fast(capsys, tmp_path):
+    # the full twist on 8 strands outgrows the Hecke term budget
+    path = write_json(
+        tmp_path, "twist8.json", {"strands": 8, "word": list(range(1, 8)) * 8}
+    )
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "jinv", "--braid", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_lkmatrix_golden(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from cycloquant.criteria import (
     powers_of_A_char0,
 )
 from cycloquant.gauss import g_r, quantum_int_laurent
-from cycloquant.links import BraidWord
+from cycloquant.links import BraidWord, periodic_lift
 from cycloquant.rings import (
     CycloElem,
     CycloFraction,
@@ -174,6 +175,40 @@ def test_cor_1_2_witness_substitutes_back():
         assert reduce_mod_p(v, p) == cand
 
 
+def test_cor_1_2_matches_full_scan():
+    # the candidate scan in its defining (alpha, s, epsilon) order
+    def full_scan(v, r, p):
+        k = 3 * r
+        v_p = reduce_mod_p(v, p)
+        g = reduce_mod_p(g_r(r).value, p)
+        g_pow, seen = g ** 0, set()
+        for alpha in range(k * p):
+            if g_pow.coeffs in seen:
+                break
+            seen.add(g_pow.coeffs)
+            for s in range(k):
+                for eps in (1, -1):
+                    if v_p == reduce_mod_p(_a_power(k, s), p) * g_pow * eps:
+                        return ObstructionVerdict(True, Witness(eps, s, alpha), (r, p))
+            g_pow = g_pow * g
+        return ObstructionVerdict(False, None, (r, p))
+
+    rng = random.Random(317)
+    for r, p in ((5, 11), (5, 19), (7, 13), (9, 17)):
+        k = 3 * r
+        for _ in range(3):
+            planted = (
+                _a_power(k, rng.randrange(k))
+                * g_r(r).value ** rng.randrange(4)
+                * rng.choice([1, -1])
+            )
+            noise = CycloFraction(
+                reduce(parse_laurent(f"{rng.randint(-3, 3)} + A^{rng.randrange(k)}"), k)
+            )
+            for v in (planted, noise):
+                assert check_cor_1_2(v, r, p) == full_scan(v, r, p)
+
+
 def test_cor_1_2_validation():
     with pytest.raises(ValueError):
         check_cor_1_2(_one(15), 5, 3)
@@ -229,6 +264,14 @@ def test_thm_4_1_torus_family():
 def test_thm_4_1_detects_non_lifts():
     # the unknot is not the 3-fold lift of the Hopf link
     assert not check_thm_4_1(BraidWord(2, (1,)), BraidWord(2, (1, 1)), 3)
+
+
+def test_thm_4_1_long_lift():
+    # a 3-strand, 8-letter quotient lifted at p = 31: 248 crossings
+    quotient = BraidWord(3, (1, -2, 1, 2, -1, 2, 1, -2))
+    start = time.perf_counter()
+    assert check_thm_4_1(periodic_lift(quotient, 31), quotient, 31)
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import cmath
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cycloquant import links
 from cycloquant.links import (
     BraidWord,
     FramedBraidLink,
@@ -15,6 +19,7 @@ from cycloquant.links import (
     SigTriple,
     closure_components,
     j_invariant,
+    j_skein,
     lift_component_rotation,
     linking_matrix,
     periodic_lift,
@@ -108,6 +113,13 @@ def test_signature_examples():
     assert signature_counts([]) == SigTriple(0, 0, 0)
 
 
+def test_signature_inconsistent_counts_raise(monkeypatch):
+    # the eigenvalue counts must add up to the size of the matrix
+    monkeypatch.setattr(links, "_sign_changes", lambda seq: 0)
+    with pytest.raises(ArithmeticError):
+        signature_counts([[2, 0], [0, -3]])
+
+
 def _random_unimodular(rng: random.Random, m: int) -> list[list[int]]:
     e = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for _ in range(rng.randint(1, 6) if m >= 2 else 0):
@@ -189,18 +201,48 @@ def test_j_well_defined_under_resolution_order():
         BraidWord(4, (1, 2, 3, 1, 2, 3)),
     ]
     for b in words:
-        base = j_invariant(b)
+        base = j_skein(b)
+        assert j_invariant(b) == base
         for seed in range(50):
-            assert j_invariant(b, traversal_seed=seed) == base
+            assert j_skein(b, traversal_seed=seed) == base
 
 
 def test_j_well_defined_on_random_words():
     rng = random.Random(127)
     for _ in range(10):
         b = _random_braid(rng)
-        base = j_invariant(b)
+        base = j_skein(b)
+        assert j_invariant(b) == base
         for seed in rng.sample(range(10_000), 5):
-            assert j_invariant(b, traversal_seed=seed) == base
+            assert j_skein(b, traversal_seed=seed) == base
+
+
+def test_j_matches_skein_oracle_on_random_braids():
+    rng = random.Random(151)
+    for _ in range(240):
+        b = _random_braid(rng, max_strands=5, max_len=12)
+        assert j_invariant(b) == j_skein(b), b
+
+
+def test_j_matches_skein_oracle_on_anchor_lifts():
+    # the 28-crossing 3-strand and 20-crossing 4-strand periodic lifts
+    for b in (
+        periodic_lift(BraidWord(3, (1, -2, 1, -2)), 7),
+        periodic_lift(BraidWord(4, (1, -2, 3, -2)), 5),
+    ):
+        assert j_invariant(b) == j_skein(b)
+
+
+def test_j_anchor_lifts_are_fast():
+    # 44 crossings on 3 strands and 25 on 4 took seconds by the skein
+    # recursion; the Hecke evaluation is linear in word length
+    for b in (
+        periodic_lift(BraidWord(3, (1, -2, 1, -2)), 11),
+        periodic_lift(BraidWord(4, (1, -2, 3, -2, 1)), 5),
+    ):
+        start = time.perf_counter()
+        j_invariant(b)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_j_mirror_symmetry():
@@ -249,7 +291,82 @@ def test_j_split_words_factor():
 
 def test_j_budget():
     with pytest.raises(RecursionBudgetExceeded):
-        j_invariant(BraidWord(2, (1,) * 5), max_crossings=4)
+        j_skein(BraidWord(2, (1,) * 5), max_crossings=4)
+
+
+# the full twist on 8 strands spreads over more basis terms than 7! = 5040
+OVER_BUDGET = BraidWord(8, tuple(range(1, 8)) * 8)
+
+
+def test_j_term_budget_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(RecursionBudgetExceeded):
+        j_invariant(OVER_BUDGET)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_j_answers_seven_strands():
+    # the full twist on 7 strands reaches all 7! basis terms
+    b = BraidWord(7, tuple(range(1, 7)) * 7)
+    assert j_invariant(b.mirror()) == j_invariant(b).conjugate()
+
+
+# ---------------------------------------------------------------------------
+# properties of J as a link invariant
+
+
+def letters(n):
+    return st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+
+
+@st.composite
+def braids(draw, min_strands=1, max_strands=5, max_len=8):
+    n = draw(st.integers(min_strands, max_strands))
+    if n == 1:
+        return BraidWord(1)
+    return BraidWord(n, tuple(draw(st.lists(letters(n), max_size=max_len))))
+
+
+@given(b=braids(min_strands=3), data=st.data())
+def test_j_braid_relation_property(b, data):
+    i = data.draw(st.integers(1, b.strands - 2))
+    e = data.draw(st.sampled_from((1, -1)))
+    t = data.draw(st.integers(0, len(b.word)))
+    w1 = b.word[:t] + (e * i, e * (i + 1), e * i) + b.word[t:]
+    w2 = b.word[:t] + (e * (i + 1), e * i, e * (i + 1)) + b.word[t:]
+    assert j_invariant(BraidWord(b.strands, w1)) == j_invariant(BraidWord(b.strands, w2))
+
+
+@given(b=braids(min_strands=4), data=st.data())
+def test_j_far_commutation_property(b, data):
+    n = b.strands
+    i = data.draw(st.integers(1, n - 3))
+    j = data.draw(st.integers(i + 2, n - 1))
+    gi = i * data.draw(st.sampled_from((1, -1)))
+    gj = j * data.draw(st.sampled_from((1, -1)))
+    t = data.draw(st.integers(0, len(b.word)))
+    w1 = b.word[:t] + (gi, gj) + b.word[t:]
+    w2 = b.word[:t] + (gj, gi) + b.word[t:]
+    assert j_invariant(BraidWord(n, w1)) == j_invariant(BraidWord(n, w2))
+
+
+@given(b=braids(min_strands=2), data=st.data())
+def test_j_conjugation_property(b, data):
+    n = b.strands
+    g = tuple(data.draw(st.lists(letters(n), max_size=4)))
+    inverse = tuple(-x for x in reversed(g))
+    assert j_invariant(BraidWord(n, g + b.word + inverse)) == j_invariant(b)
+
+
+@given(b=braids(max_strands=4), e=st.sampled_from((1, -1)))
+def test_j_markov_stabilisation_property(b, e):
+    n = b.strands
+    assert j_invariant(BraidWord(n + 1, b.word + (e * n,))) == j_invariant(b)
+
+
+@given(b=braids())
+def test_j_mirror_is_conjugate_property(b):
+    assert j_invariant(b.mirror()) == j_invariant(b).conjugate()
 
 
 # ---------------------------------------------------------------------------
