@@ -52,6 +52,8 @@ slid = [[2, 3], [3, 2]]  # slide: add row/column 1 into row/column 2
 print("stabilization invariance:", moo_invariant(stab, 15) == moo_invariant(base, 15))
 print("handle slide invariance: ", moo_invariant(slid, 15) == moo_invariant(base, 15))
 
-# The fast path diagonalizes the matrix over each prime-power factor
-# of N instead of summing N^m terms, and agrees exactly.
+# The fast path, which the command line and check_thm_5_1 use,
+# diagonalizes the matrix over each prime-power factor p^e of N instead
+# of summing N^m terms; a block with no unit pivot is divided by p and
+# diagonalized again mod p^(e-1). It agrees exactly with the defining sum.
 print("fast path agrees:", moo_fast(base, 15) == moo_invariant(base, 15))

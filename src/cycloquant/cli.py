@@ -35,7 +35,7 @@ from .links import (
     linking_matrix,
     signature_counts,
 )
-from .moo import moo_fast, moo_invariant
+from .moo import moo_fast
 from .rings import (
     DenominatorNotInvertibleError,
     NotAUnitError,
@@ -141,8 +141,7 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_moo(args) -> int:
-    compute = moo_fast if args.fast else moo_invariant
-    print(compute(_load_matrix(args.matrix), args.n))
+    print(moo_fast(_load_matrix(args.matrix), args.n))
     return 0
 
 
@@ -170,7 +169,7 @@ def _cmd_check_thm41(args) -> int:
 def _cmd_check_thm51(args) -> int:
     b = _load_matrix(args.b)
     bbar = _load_matrix(args.bbar)
-    return _verdict_exit(check_thm_5_1(b, bbar, args.p, args.n, fast=args.fast))
+    return _verdict_exit(check_thm_5_1(b, bbar, args.p, args.n))
 
 
 def _cmd_repro_remark13(args) -> int:
@@ -200,6 +199,8 @@ def _cmd_repro_remark13(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+_FAST_HELP = "accepted and ignored: Z_N is always computed by the fast path"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moo", help="the surgery invariant Z_N of a linking matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--matrix", required=True, metavar="FILE")
-    p.add_argument("--fast", action="store_true")
+    p.add_argument("--fast", action="store_true", help=_FAST_HELP)
     p.set_defaults(func=_cmd_moo)
 
     p = sub.add_parser("check-cor12", help="branched cyclic cover obstruction")
@@ -279,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbar", required=True, metavar="FILE")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fast", action="store_true")
+    p.add_argument("--fast", action="store_true", help=_FAST_HELP)
     p.set_defaults(func=_cmd_check_thm51)
 
     p = sub.add_parser(

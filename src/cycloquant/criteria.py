@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .gauss import _require_level, g_r, quantum_int_laurent
 from .links import BraidWord, LinkingMatrix, j_invariant, signature_counts
-from .moo import _require_odd, moo_fast, moo_invariant
+from .moo import _require_odd, moo_fast
 from .rings import (
     CycloElem,
     CycloFraction,
@@ -100,9 +100,11 @@ def check_thm_1_1(
         raise ValueError(f"need gcd(p, {k}) = 1")
     if vm.order != k or vmbar.order != k:
         raise ValueError(f"invariant values must live at order {k}")
-    g_poly = quantum_int_laurent(3) ** p - quantum_int_laurent(3)
+    # x^p and the Frobenius A -> A^p agree mod p, and only residues mod p
+    # are read below
+    g_poly = quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
     vm_p = reduce_mod_p(vm, p)
-    vmbar_pow = reduce_mod_p(vmbar, p) ** p
+    vmbar_pow = reduce_mod_p(vmbar.galois(p), p)
     g_img = reduce_mod_p(g_r(r).value, p)
     for eps in (1, -1):
         base = g_img * eps
@@ -162,8 +164,9 @@ def check_thm_4_1(lift: BraidWord, quotient: BraidWord, p: int) -> bool:
     if p == 1:
         return True
     _require_prime(p)
-    f = j_invariant(lift) - j_invariant(quotient) ** p
-    g_poly = quantum_int_laurent(3) ** p - quantum_int_laurent(3)
+    # the Frobenius A -> A^p stands in for the p-th power: equal mod p
+    f = j_invariant(lift) - j_invariant(quotient).subst_power(p)
+    g_poly = quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
     return laurent_ideal_membership(f, g_poly, p)
 
 
@@ -177,12 +180,13 @@ def check_thm_5_1(
     p: int,
     n: int,
     *,
-    fast: bool = False,
+    fast: bool = True,
 ) -> ObstructionVerdict:
     """Is Z_N(B) = +-Z_N(Bbar)^p mod p?
 
     Both matrices must be nondegenerate (rational homology spheres).
-    p = 1 is accepted as the degenerate identity case.
+    p = 1 is accepted as the degenerate identity case. Z_N is always
+    computed by moo_fast; `fast` is accepted and ignored.
     """
     if not isinstance(matrix, LinkingMatrix):
         matrix = LinkingMatrix.from_rows(matrix)
@@ -197,9 +201,8 @@ def check_thm_5_1(
     _require_prime(p)
     if math.gcd(n, p) != 1:
         raise ValueError(f"need gcd({n}, {p}) = 1")
-    compute = moo_fast if fast else moo_invariant
-    z = compute(matrix, n)
-    z_bar = compute(matrix_bar, n)
+    z = moo_fast(matrix, n)
+    z_bar = moo_fast(matrix_bar, n)
     z_p = reduce_mod_p(z.value, p)
     z_bar_pow = reduce_mod_p(z_bar.value, p) ** p
     for eps in (1, -1):

@@ -219,57 +219,71 @@ class SigTriple:
     nullity: int
 
 
-def _char_poly_ascending(rows: list[list[int]]) -> list[int]:
-    # Faddeev-LeVerrier: integer-exact characteristic polynomial
-    m = len(rows)
-    coeffs_desc = [1]
-    mat = [row[:] for row in rows]
-    for k in range(1, m + 1):
-        if k > 1:
-            shifted = [
-                [mat[i][j] + (coeffs_desc[-1] if i == j else 0) for j in range(m)]
-                for i in range(m)
-            ]
-            mat = [
-                [sum(rows[i][l] * shifted[l][j] for l in range(m)) for j in range(m)]
-                for i in range(m)
-            ]
-        trace = sum(mat[i][i] for i in range(m))
-        dk, rem = divmod(-trace, k)
-        if rem:
-            raise ArithmeticError("characteristic polynomial division not exact")
-        coeffs_desc.append(dk)
-    return coeffs_desc[::-1]
+def _symmetric_eliminate(
+    rows: list[list[int]], q: int = 0, p: int = 0
+) -> tuple[list[int], list[list[int]]]:
+    """Diagonalize the quadratic form l -> l^T C l by symmetric elimination.
 
+    Over Q (q = 0) it pivots on nonzero entries, fraction-free: after
+    each step the block holds the Schur complement times the last pivot
+    (Bareiss), so every division is exact, and the pivot recorded is
+    the product of the last two, which has the sign of the rational
+    pivot. Over Z/q for q = p^e, p odd, it pivots on units mod p and
+    records them. Where no diagonal entry will do, l_i -> l_i + l_j
+    makes one from an off-diagonal entry.
 
-def _sign_changes(seq: Sequence[int]) -> int:
-    signs = [1 if x > 0 else -1 for x in seq if x]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    Returns the pivots and the residual block on which no pivot exists:
+    zero over Q, divisible by p over Z/q.
+    """
+
+    def usable(x: int) -> bool:
+        return x % p != 0 if p else x != 0
+
+    c = [[x % q if q else x for x in row] for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    while c:
+        m = len(c)
+        i = next((i for i in range(m) if usable(c[i][i])), None)
+        if i is None:
+            off = next(
+                ((i, j) for i in range(m) for j in range(i + 1, m) if usable(c[i][j])),
+                None,
+            )
+            if off is None:
+                return pivots, c
+            i, j = off
+            # substituting l_i -> l_i + l_j makes position (i,i) usable:
+            # it becomes c_ii + 2 c_ij + c_jj with only 2 c_ij usable
+            for k in range(m):
+                c[i][k] += c[j][k]
+            for k in range(m):
+                c[k][i] += c[k][j]
+        a = c[i][i] % q if q else c[i][i]
+        rest = [k for k in range(m) if k != i]
+        if q:
+            inv_a = pow(a, -1, q)
+            c = [[(c[r][s] - c[i][r] * c[i][s] * inv_a) % q for s in rest] for r in rest]
+            pivots.append(a)
+        else:
+            c = [[(a * c[r][s] - c[i][r] * c[i][s]) // prev for s in rest] for r in rest]
+            pivots.append(a * prev)
+            prev = a
+    return pivots, c
 
 
 def signature_counts(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> SigTriple:
     """Exact inertia (positive, negative, zero eigenvalue counts).
 
-    Uses the integer characteristic polynomial and sign-change counting;
-    symmetric matrices have real spectra, so the counts are exact.
+    By Sylvester's law of inertia these are the signs of the pivots of
+    a symmetric elimination over Q, and the nullity is the size of the
+    zero block left when no pivot remains.
     """
     if not isinstance(matrix, LinkingMatrix):
         matrix = LinkingMatrix.from_rows(matrix)
-    m = matrix.size
-    if m == 0:
-        return SigTriple(0, 0, 0)
-    asc = _char_poly_ascending(matrix.rows())
-    nullity = 0
-    while asc[nullity] == 0:
-        nullity += 1
-    core = asc[nullity:]
-    plus = _sign_changes(core)
-    minus = _sign_changes([c if i % 2 == 0 else -c for i, c in enumerate(core)])
-    if plus + minus + nullity != m:
-        raise ArithmeticError(
-            f"inertia counts {plus} + {minus} + {nullity} do not add up to {m}"
-        )
-    return SigTriple(plus, minus, nullity)
+    pivots, residual = _symmetric_eliminate(matrix.rows())
+    plus = sum(1 for a in pivots if a > 0)
+    return SigTriple(plus, len(pivots) - plus, len(residual))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ inverse of G_N is conj(G_N)/N, so everything stays inside the
 cyclotomic quotient with only powers of N in denominators. The half
 power of N contributed by b1 is carried symbolically.
 
-bracket_sum enumerates all N^m vectors and is the semantic definition;
-moo_fast diagonalizes the form over each prime-power factor of N and
-multiplies one-variable sums instead, falling back to enumeration for
-any factor where no unit pivot can be made.
+bracket_sum enumerates all N^m vectors and is the semantic definition,
+kept as the test oracle. moo_fast diagonalizes the form over each
+prime-power factor q = p^e of N and multiplies one-variable sums
+instead. A block with no unit pivot is p times a form C', and its sum
+over l mod p^e is p^k times the sum of the scaled form p C' over
+l mod p^(e-1) (Jordan splitting), so the elimination goes on at the
+lower power and no path enumerates vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import dataclasses
 from typing import Iterable
 
 from .gauss import gauss_sum
-from .links import LinkingMatrix, signature_counts
+from .links import LinkingMatrix, _symmetric_eliminate, signature_counts
 from .rings import CycloElem, CycloFraction, LaurentPoly, prime_factors, reduce
 
 # ---------------------------------------------------------------------------
@@ -148,90 +151,39 @@ def moo_invariant(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> Mo
 
 
 # ---------------------------------------------------------------------------
-# fast path: CRT plus symmetric elimination
-
-
-def _diagonalize_mod_q(rows: list[list[int]], q: int, p: int) -> tuple[list[int], list[list[int]]]:
-    """Symmetric elimination of the form mod q = p^e.
-
-    Returns diagonal coefficients (each with a unit pivot) and a
-    residual block, all of whose entries are divisible by p, on which
-    no unit pivot exists.
-    """
-    c = [[x % q for x in row] for row in rows]
-    diag: list[int] = []
-    while c:
-        m = len(c)
-        pivot = next((i for i in range(m) if c[i][i] % p != 0), None)
-        if pivot is None:
-            off = next(
-                ((i, j) for i in range(m) for j in range(i + 1, m) if c[i][j] % p != 0),
-                None,
-            )
-            if off is None:
-                return diag, c
-            i, j = off
-            # substituting l_i -> l_i + l_j makes position (i,i) a unit:
-            # it becomes c_ii + 2 c_ij + c_jj with only 2 c_ij a unit
-            for k in range(m):
-                c[i][k] = (c[i][k] + c[j][k]) % q
-            for k in range(m):
-                c[k][i] = (c[k][i] + c[k][j]) % q
-            pivot = i
-        a = c[pivot][pivot]
-        inv_a = pow(a, -1, q)
-        rest = [k for k in range(m) if k != pivot]
-        new_c = [
-            [(c[r][s] - c[pivot][r] * c[pivot][s] * inv_a) % q for s in rest]
-            for r in rest
-        ]
-        diag.append(a)
-        c = new_c
-    return diag, []
-
-
-def _block_bracket(rows: list[list[int]], q: int, scale: int, n: int) -> CycloElem:
-    # brute-force sum over (Z/q)^k of A^(scale * l^T C l) in the order-n ring
-    k = len(rows)
-    counts = [0] * n
-
-    def descend(i: int, lin: list[int], val: int) -> None:
-        if i == k:
-            counts[val] += 1
-            return
-        for x in range(q):
-            new_val = (val + scale * (rows[i][i] * x * x + 2 * x * lin[i])) % n
-            new_lin = [(lin[j] + rows[i][j] * x) % q for j in range(k)]
-            descend(i + 1, new_lin, new_val)
-
-    descend(0, [0] * k, 0)
-    return reduce(LaurentPoly({e: c for e, c in enumerate(counts) if c}), n)
+# fast path: CRT plus symmetric elimination and p-adic splitting
 
 
 def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
-    rows = matrix.rows()
-    if matrix.size == 0:
-        return CycloElem.one(n)
     total = CycloElem.one(n)
+    weight = 1
     for p in sorted(prime_factors(n)):
         q = p
         while n % (q * p) == 0:
             q *= p
         cofactor = n // q
         # idempotent: 1 mod q, 0 mod n/q
-        e_q = (cofactor * pow(cofactor, -1, q)) % n if cofactor > 1 else 1
-        diag, residual = _diagonalize_mod_q(rows, q, p)
+        scale = cofactor * pow(cofactor, -1, q) % n
+        rows = matrix.rows()
         part = CycloElem.one(n)
-        for a in diag:
-            terms: dict[int, int] = {}
-            for x in range(q):
-                e = (e_q * a * x * x) % n
-                terms[e] = terms.get(e, 0) + 1
-            part = part * reduce(LaurentPoly(terms), n)
-        if residual:
-            part = part * _block_bracket(residual, q, e_q, n)
+        while rows and q > 1:
+            pivots, rows = _symmetric_eliminate(rows, q, p)
+            for a in pivots:
+                terms: dict[int, int] = {}
+                for x in range(q):
+                    e = (scale * a * x * x) % n
+                    terms[e] = terms.get(e, 0) + 1
+                part = part * reduce(LaurentPoly(terms), n)
+            # the residual is p C' for a form C', and scale * q = 0 mod n,
+            # so the sum over l mod q is p^k times the sum of
+            # A^(scale p l^T C' l) over l mod q/p
+            rows = [[x // p for x in row] for row in rows]
+            weight *= p ** len(rows)
+            q //= p
+            scale *= p
         total = total * part
-    return total
+    # multiplying by an integer is a full ring product, so only when needed
+    return total * weight if weight > 1 else total
 
 
 def moo_fast(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValue:

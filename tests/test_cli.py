@@ -6,6 +6,7 @@ printed ring element must reparse to an equal value.
 """
 
 import json
+import random
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from cycloquant import (
     reduce,
 )
 from cycloquant.cli import main
+from cycloquant.moo import moo_invariant
 
 
 def run_cli(capsys, *argv):
@@ -154,12 +156,13 @@ def test_moo_golden(capsys, tmp_path):
 
 
 def test_moo_fast_matches(capsys, tmp_path):
-    path = write_json(tmp_path, "m.json", {"matrix": [[2, 1], [1, -2]]})
-    code, slow, _ = run_cli(capsys, "moo", "--n", "15", "--matrix", path)
-    assert code == 0
-    code, fast, _ = run_cli(capsys, "moo", "--n", "15", "--matrix", path, "--fast")
-    assert code == 0
-    assert slow == fast
+    # --fast is accepted and changes nothing; both print the oracle's value
+    rows = [[2, 1], [1, -2]]
+    want = f"{moo_invariant(rows, 15)}\n"
+    path = write_json(tmp_path, "m.json", {"matrix": rows})
+    for flags in ((), ("--fast",)):
+        code, out, _ = run_cli(capsys, "moo", "--n", "15", "--matrix", path, *flags)
+        assert (code, out) == (0, want)
 
 
 def test_moo_half_integer_print(capsys, tmp_path):
@@ -241,6 +244,30 @@ def test_check_thm51_fast_flag(capsys, tmp_path):
         capsys, "check-thm51", "--b", b, "--bbar", bbar, "--p", "2", "--n", "7"
     )
     assert (code, out) == (code2, out2)
+
+
+def test_check_thm51_large_pair_is_fast(capsys, tmp_path):
+    # B = P^T (11 copies of [[2]]) P for a unimodular P, at N = 105;
+    # enumerating (Z/105)^11 would never finish
+    rng = random.Random(353)
+    m = 11
+    basis = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(2 * m):
+        i, j = rng.sample(range(m), 2)
+        basis[i] = [x + rng.choice((1, -1)) * y for x, y in zip(basis[i], basis[j])]
+    rows = [
+        [2 * sum(basis[k][i] * basis[k][j] for k in range(m)) for j in range(m)]
+        for i in range(m)
+    ]
+    b = write_json(tmp_path, "b.json", {"matrix": rows})
+    bbar = write_json(tmp_path, "bbar.json", {"matrix": [[2]]})
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "check-thm51", "--b", b, "--bbar", bbar, "--p", "11", "--n", "105"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.startswith("CONSISTENT")
 
 
 # ---------------------------------------------------------------------------

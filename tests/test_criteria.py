@@ -18,13 +18,16 @@ from cycloquant.criteria import (
     powers_of_A_char0,
 )
 from cycloquant.gauss import g_r, quantum_int_laurent
-from cycloquant.links import BraidWord, periodic_lift
+from cycloquant.links import BraidWord, j_invariant, periodic_lift
+from cycloquant.moo import moo_invariant
 from cycloquant.rings import (
     CycloElem,
     CycloFraction,
     cyclotomic_poly,
     ideal_gcd_poly,
+    LaurentPoly,
     ideal_membership_cyclo,
+    laurent_ideal_membership,
     parse_laurent,
     reduce,
     reduce_mod_p,
@@ -274,6 +277,57 @@ def test_thm_4_1_long_lift():
     assert time.perf_counter() - start < 2.0
 
 
+def _random_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
+    letters = [g for g in range(1 - strands, strands) if g]
+    return BraidWord(strands, tuple(rng.choice(letters) for _ in range(length) if letters))
+
+
+def test_thm_4_1_matches_literal_power():
+    # the congruence read with the literal p-th powers of J(quotient) and [3]
+    rng = random.Random(337)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 7))
+        quotient = _random_braid(rng, rng.randint(1, 3), rng.randint(0, 5))
+        if rng.random() < 0.5:
+            lift = periodic_lift(quotient, p)
+        else:
+            lift = _random_braid(rng, quotient.strands, rng.randint(0, 8))
+        f = j_invariant(lift) - j_invariant(quotient) ** p
+        g_poly = quantum_int_laurent(3) ** p - quantum_int_laurent(3)
+        assert check_thm_4_1(lift, quotient, p) == laurent_ideal_membership(f, g_poly, p)
+
+
+def test_thm_1_1_matches_literal_power():
+    # the congruence read with the literal p-th powers of vmbar and [3],
+    # scanning each candidate power of +-G_r until it repeats
+    def literal(vm, vmbar, r, p):
+        g_poly = quantum_int_laurent(3) ** p - quantum_int_laurent(3)
+        vm_p = reduce_mod_p(vm, p)
+        vmbar_pow = reduce_mod_p(vmbar, p) ** p
+        for eps in (1, -1):
+            base = reduce_mod_p(g_r(r).value, p) * eps
+            cur, seen = base**0, set()
+            while cur.coeffs not in seen:
+                if ideal_membership_cyclo(vm_p - vmbar_pow * cur, g_poly, p, 3 * r):
+                    return ObstructionVerdict(True, Witness(eps, 0, len(seen)), (r, p))
+                seen.add(cur.coeffs)
+                cur = cur * base
+        return ObstructionVerdict(False, None, (r, p))
+
+    def random_value(rng, k):
+        terms = {rng.randrange(k): rng.randint(-3, 3) for _ in range(4)}
+        return CycloFraction(reduce(LaurentPoly(terms), k), rng.choice((1, 1, 2)))
+
+    rng = random.Random(347)
+    for r, p in GOOD_PAIRS + ((5, 7), (7, 11)):
+        k = 3 * r
+        for _ in range(3):
+            vmbar = random_value(rng, k)
+            planted = vmbar**p * g_r(r).value ** rng.randrange(4)
+            for vm in (planted, random_value(rng, k)):
+                assert check_thm_1_1(vm, vmbar, r, p) == literal(vm, vmbar, r, p)
+
+
 # ---------------------------------------------------------------------------
 # periodic rational homology spheres
 
@@ -307,14 +361,24 @@ def test_thm_5_1_negative_case():
 
 
 def test_thm_5_1_dual_path_oracle():
+    # the verdict from the brute-force moo_invariant, computed here; the
+    # fast switch is a no-op
     for b, bbar, p, n in (
         ([[1]], [[2]], 3, 5),
         ([[2]], [[3]], 5, 9),
         ([[2, 1], [1, 2]], [[1]], 3, 7),
+        ([[3, 0], [0, 6]], [[3]], 2, 9),
+        ([[1, 0], [0, 1]], [[1]], 2, 15),
     ):
-        slow = check_thm_5_1(b, bbar, p, n)
-        fast = check_thm_5_1(b, bbar, p, n, fast=True)
-        assert slow == fast
+        z_p = reduce_mod_p(moo_invariant(b, n).value, p)
+        z_bar_pow = reduce_mod_p(moo_invariant(bbar, n).value, p) ** p
+        signs = [eps for eps in (1, -1) if z_p == z_bar_pow * eps]
+        want = ObstructionVerdict(
+            bool(signs), Witness(signs[0], 0, 0) if signs else None, (n, p)
+        )
+        assert check_thm_5_1(b, bbar, p, n) == want
+        assert check_thm_5_1(b, bbar, p, n, fast=False) == want
+        assert check_thm_5_1(b, bbar, p, n, fast=True) == want
 
 
 def test_thm_5_1_validation():

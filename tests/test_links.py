@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloquant import links
 from cycloquant.links import (
     BraidWord,
     FramedBraidLink,
@@ -113,11 +112,38 @@ def test_signature_examples():
     assert signature_counts([]) == SigTriple(0, 0, 0)
 
 
-def test_signature_inconsistent_counts_raise(monkeypatch):
-    # the eigenvalue counts must add up to the size of the matrix
-    monkeypatch.setattr(links, "_sign_changes", lambda seq: 0)
-    with pytest.raises(ArithmeticError):
-        signature_counts([[2, 0], [0, -3]])
+def _random_symmetric(rng: random.Random, m: int) -> list[list[int]]:
+    # sparse entries and, every other draw, a zero diagonal, so that
+    # singular forms and the off-diagonal pivot both come up
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i] = rng.randint(-6, 6)
+    if rng.random() < 0.5:
+        for i in range(m):
+            rows[i][i] = 0
+    return rows
+
+
+def test_signature_matches_sympy_inertia():
+    # an independent oracle: the characteristic polynomial from sympy; its
+    # roots are real, so Descartes' rule counts them exactly
+    sympy = pytest.importorskip("sympy")
+
+    def changes(seq):
+        signs = [c > 0 for c in seq if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    rng = random.Random(109)
+    for _ in range(150):
+        rows = _random_symmetric(rng, rng.randint(1, 7))
+        coeffs = sympy.Matrix(rows).charpoly().all_coeffs()[::-1]  # ascending
+        nullity = next(i for i, c in enumerate(coeffs) if c != 0)
+        core = coeffs[nullity:]
+        flipped = [c if i % 2 == 0 else -c for i, c in enumerate(core)]
+        expected = SigTriple(changes(core), changes(flipped), nullity)
+        assert signature_counts(rows) == expected, rows
 
 
 def _random_unimodular(rng: random.Random, m: int) -> list[list[int]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+import time
 
 import pytest
 
@@ -180,15 +181,43 @@ def test_moo_fast_named_cases():
 
 
 def test_moo_fast_fallback_blocks():
-    # every entry divisible by the prime: no unit pivot exists and the
-    # factor falls back to enumeration
+    # every entry divisible by p, p^2 or p^3: no unit pivot exists, and
+    # the block is divided by p and eliminated again at the lower power
     for rows, n in (
         ([[3]], 9),
         ([[0, 3], [3, 0]], 9),
         ([[5]], 15),
         ([[3, 3], [3, 3]], 9),
+        ([[9]], 27),
+        ([[9, 0], [0, 18]], 27),
+        ([[0, 9], [9, 0]], 81),
+        ([[27]], 81),
+        ([[27, 27], [27, 54]], 81),
+        ([[3, 9], [9, 27]], 27),
+        ([[25, 50], [50, 25]], 75),
+        ([[0, 3, 0], [3, 0, 9], [0, 9, 0]], 27),
     ):
-        assert moo_fast(rows, n) == moo_invariant(rows, n)
+        assert moo_fast(rows, n) == moo_invariant(rows, n), (rows, n)
+    anchor = [[3, 6, 0], [6, 9, 3], [0, 3, 6]]
+    start = time.perf_counter()
+    value = moo_fast(anchor, 81)
+    assert time.perf_counter() - start < 0.01
+    assert str(value) == "9"
+
+
+def test_moo_fast_residual_sweep():
+    # every entry = 0 mod p or p^2 for a prime p dividing N, so the
+    # residual block is the whole form at the first step
+    rng = random.Random(251)
+    for _ in range(200):
+        n = rng.choice((9, 15, 21, 25, 27, 45, 49, 63, 75, 81))
+        p = rng.choice([q for q in (3, 5, 7) if n % q == 0])
+        m = rng.randint(1, 3 if n <= 27 else 2)
+        rows = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                rows[i][j] = rows[j][i] = rng.randint(-4, 4) * p ** rng.randint(1, 2)
+        assert moo_fast(rows, n) == moo_invariant(rows, n), (rows, n)
 
 
 def test_moo_fast_matches_brute_force():
