@@ -12,7 +12,6 @@ units, and applying Galois symmetries.
 from cycloquant import (
     CycloFraction,
     cyclotomic_poly,
-    galois_conjugate,
     invert,
     parse_laurent,
     reduce,
@@ -47,5 +46,5 @@ print("1/A at order 15:", inv_a)
 # Galois conjugation A -> A^t is a ring symmetry for gcd(t, 15) = 1.
 # t = -1 is complex conjugation on every embedding.
 y = reduce(parse_laurent("1 + 2A + 3A^2"), 15)
-print("conjugate of 1 + 2A + 3A^2:", galois_conjugate(y, -1))
-print("round trip:", galois_conjugate(galois_conjugate(y, -1), -1) == y)
+print("conjugate of 1 + 2A + 3A^2:", y.galois(-1))
+print("round trip:", y.galois(-1).galois(-1) == y)

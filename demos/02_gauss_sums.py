@@ -10,7 +10,6 @@ whose sign matters for the obstruction tests.
 """
 
 from cycloquant import (
-    galois_conjugate,
     gauss_sum,
     g_r,
     quantum_int,
@@ -34,8 +33,8 @@ print("sum of A^(j^2), j < 3, at order 3:", gauss_sum(1, 3, 3))
 # magnitude r and 3r exactly: S * conj(S) is an integer.
 for r in (5, 7):
     k = 3 * r
-    m1 = s1(r) * galois_conjugate(s1(r), -1)
-    m2 = s2(r) * galois_conjugate(s2(r), -1)
+    m1 = s1(r) * s1(r).galois(-1)
+    m2 = s2(r) * s2(r).galois(-1)
     print(f"level {r}: S1*conj(S1) = {m1}, S2*conj(S2) = {m2}")
 
 # G_r is a unit of modulus one; at level 5 it is exactly -A^9, and the
@@ -43,4 +42,4 @@ for r in (5, 7):
 for r in (5, 7, 9):
     res = g_r(r)
     print(f"G_{r} = {res.value}  (epsilon = {res.epsilon})")
-    print(f"  modulus check: G * conj(G) = {res.value * galois_conjugate(res.value, -1)}")
+    print(f"  modulus check: G * conj(G) = {res.value * res.value.galois(-1)}")

@@ -20,8 +20,9 @@ from .rings import (
     CycloElem,
     CycloFraction,
     ModCycloElem,
-    ideal_membership_cyclo,
-    is_prime,
+    _divmod,
+    _require_prime,
+    ideal_gcd_poly,
     laurent_ideal_membership,
     parse_laurent,
     reduce,
@@ -55,19 +56,21 @@ class ObstructionVerdict:
     context: tuple[int, int]  # (r or N, p)
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+def _powers_of_g(r: int, p: int) -> list[ModCycloElem]:
+    """G_r^alpha mod p for alpha below the order of G_r mod p.
 
-
-def _multiplicative_order(x: ModCycloElem, cap: int = 1_000_000) -> int:
-    one = ModCycloElem.one(x.order, x.p)
-    cur = x
-    for n in range(1, cap + 1):
-        if cur == one:
-            return n
-        cur = cur * x
-    raise ArithmeticError("no multiplicative order found; image is not a unit")
+    S1^2 S2^2 = -3r^2 by Gauss's evaluation of quadratic sums, so
+    G_r = -A^-36 and its order divides 2k = 6r: the walk closes within
+    that many steps.
+    """
+    g = reduce_mod_p(g_r(r).value, p)
+    powers = [ModCycloElem.one(g.order, p)]
+    for _ in range(6 * r):
+        nxt = powers[-1] * g
+        if nxt == powers[0]:
+            return powers
+        powers.append(nxt)
+    raise ArithmeticError(f"G_{r} mod {p} has no order up to {6 * r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,10 @@ def check_thm_1_1(
 ) -> ObstructionVerdict:
     """Is vm = vmbar^p * G_r^alpha modulo (p, [3]^p - [3]) for some alpha?
 
-    Both signs of G_r are admitted, which only enlarges the candidate
-    set. A satisfied verdict carries (epsilon, 0, alpha).
+    Both signs of G_r are admitted, but -G_r adds no candidate: -1 is a
+    power of G_r mod p (G_r = -A^-36 has even order for odd p, and the
+    signs agree for p = 2). A satisfied verdict always carries epsilon
+    = 1, as (1, 0, alpha).
     """
     _require_level(r)
     _require_prime(p)
@@ -105,14 +110,12 @@ def check_thm_1_1(
     g_poly = quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
     vm_p = reduce_mod_p(vm, p)
     vmbar_pow = reduce_mod_p(vmbar.galois(p), p)
-    g_img = reduce_mod_p(g_r(r).value, p)
-    for eps in (1, -1):
-        base = g_img * eps
-        cur = ModCycloElem.one(k, p)
-        for alpha in range(_multiplicative_order(base)):
-            if ideal_membership_cyclo(vm_p - vmbar_pow * cur, g_poly, p, k):
-                return ObstructionVerdict(True, Witness(eps, 0, alpha), (r, p))
-            cur = cur * base
+    # the ideal is generated by d = gcd(Phi_k, g_poly) over F_p
+    d = ideal_gcd_poly(g_poly, p, k)
+    for alpha, g_pow in enumerate(_powers_of_g(r, p)):
+        _, rem = _divmod((vm_p - vmbar_pow * g_pow).coeffs, d, p)
+        if not rem:
+            return ObstructionVerdict(True, Witness(1, 0, alpha), (r, p))
     return ObstructionVerdict(False, None, (r, p))
 
 
@@ -142,11 +145,10 @@ def check_cor_1_2(v: CycloFraction, r: int, p: int) -> ObstructionVerdict:
     s_of = {
         reduce_mod_p(CycloElem.a_power(k, s), p).coeffs: s for s in range(k)
     }
-    g_img = reduce_mod_p(g_r(r).value, p)
-    order = _multiplicative_order(g_img)
-    g_inv = g_img ** (order - 1)
+    powers = _powers_of_g(r, p)
+    g_inv = powers[-1]
     w = reduce_mod_p(v, p)
-    for alpha in range(order):
+    for alpha in range(len(powers)):
         for eps, x in ((1, w), (-1, -w)):
             s = s_of.get(x.coeffs)
             if s is not None:

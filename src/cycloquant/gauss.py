@@ -15,7 +15,6 @@ from .rings import (
     CycloElem,
     CycloFraction,
     LaurentPoly,
-    galois_conjugate,
     invert,
     prime_factors,
     reduce,
@@ -93,7 +92,7 @@ def eta_plus(r: int) -> CycloFraction:
 @functools.cache
 def eta_minus(r: int) -> CycloFraction:
     """Mirror constant: the image of eta_plus under A -> A^-1."""
-    return galois_conjugate(eta_plus(r), -1)
+    return eta_plus(r).galois(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,4 +135,4 @@ if __name__ == "__main__":
     print("S2(5) =", s2(5))
     res = g_r(5)
     print("G_5 =", res.value, " epsilon =", res.epsilon)
-    print("|G_5|^2 =", res.value * galois_conjugate(res.value, -1))
+    print("|G_5|^2 =", res.value * res.value.galois(-1))

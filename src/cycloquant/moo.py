@@ -169,11 +169,7 @@ def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
         while rows and q > 1:
             pivots, rows = _symmetric_eliminate(rows, q, p)
             for a in pivots:
-                terms: dict[int, int] = {}
-                for x in range(q):
-                    e = (scale * a * x * x) % n
-                    terms[e] = terms.get(e, 0) + 1
-                part = part * reduce(LaurentPoly(terms), n)
+                part = part * gauss_sum(scale * a, q, n)
             # the residual is p C' for a form C', and scale * q = 0 mod n,
             # so the sum over l mod q is p^k times the sum of
             # A^(scale p l^T C' l) over l mod q/p
@@ -182,8 +178,7 @@ def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
             q //= p
             scale *= p
         total = total * part
-    # multiplying by an integer is a full ring product, so only when needed
-    return total * weight if weight > 1 else total
+    return total * weight
 
 
 def moo_fast(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValue:

@@ -340,6 +340,8 @@ class CycloElem:
         return o + (-self)
 
     def __mul__(self, other: object) -> CycloElem:
+        if isinstance(other, int):
+            return CycloElem(self.order, tuple(c * other for c in self.coeffs))
         o = self._coerced(other)
         if o is None:
             return NotImplemented
@@ -505,16 +507,6 @@ class CycloFraction:
         return f"CycloFraction('{self}', order={self.order})"
 
 
-def galois_conjugate(x: CycloElem | CycloFraction, t: int) -> CycloElem | CycloFraction:
-    """Apply A |-> A^t to a quotient-ring element or fraction."""
-    return x.galois(t)
-
-
-def to_complex(x: CycloElem | CycloFraction, which_root: int = 1) -> complex:
-    """Numerical image of x under A |-> exp(2*pi*i*which_root/order)."""
-    return x.to_complex(which_root)
-
-
 # ---------------------------------------------------------------------------
 # inversion via the Galois norm
 
@@ -641,6 +633,9 @@ class ModCycloElem:
         return o + (-self)
 
     def __mul__(self, other: object) -> ModCycloElem:
+        if isinstance(other, int):
+            scaled = tuple(c * other % self.p for c in self.coeffs)
+            return ModCycloElem(self.order, self.p, scaled)
         o = self._coerced(other)
         if o is None:
             return NotImplemented
@@ -662,8 +657,7 @@ class ModCycloElem:
 
 def reduce_mod_p(x: CycloElem | CycloFraction, p: int) -> ModCycloElem:
     """Image of x in F_p[A]/(Phi_k mod p); the denominator is inverted mod p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if isinstance(x, CycloElem):
         return ModCycloElem(x.order, p, tuple(c % p for c in x.coeffs))
     if x.den % p == 0:
@@ -696,16 +690,11 @@ def ideal_membership_cyclo(f: ModCycloElem, g: LaurentPoly, p: int, k: int) -> b
     by a power of A does not change the ideal (A is a unit), so the
     A-power content of g is cleared first.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    d = ideal_gcd_poly(g, p, k)
     if (f.order, f.p) != (k, p):
         raise OrderMismatchError(f"f lives at (order, p) = ({f.order}, {f.p}), not ({k}, {p})")
-    g_bar = _laurent_mod_p_cleared(g, p)
-    if not g_bar:
+    if not d:
         return not any(f.coeffs)
-    d = _gcd_mod_p(_phi_dense(k), g_bar, p)
-    if len(d) <= 1:
-        return True  # unit ideal
     _, rem = _divmod(f.coeffs, d, p)
     return not rem
 
@@ -716,8 +705,7 @@ def ideal_gcd_poly(g: LaurentPoly, p: int, k: int) -> tuple[int, ...]:
     Returns the ascending coefficient tuple of gcd(Phi_k mod p, g mod p)
     with the A-power content of g cleared; () when g vanishes mod p.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     g_bar = _laurent_mod_p_cleared(g, p)
     if not g_bar:
         return ()
@@ -731,8 +719,7 @@ def laurent_ideal_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
     so both polynomials are shifted to have a nonzero constant term and
     the test is plain univariate divisibility over F_p.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     f_bar = _laurent_mod_p_cleared(f, p)
     if not f_bar:
         return True
@@ -805,18 +792,12 @@ def parse_ring_element(s: str, order: int) -> CycloFraction:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == {n}
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def prime_factors(n: int) -> set[int]:

@@ -11,6 +11,7 @@ from cycloquant.criteria import (
     LENS_SPACE_2_1_LEVEL_5,
     ObstructionVerdict,
     Witness,
+    _powers_of_g,
     check_cor_1_2,
     check_thm_1_1,
     check_thm_4_1,
@@ -34,6 +35,8 @@ from cycloquant.rings import (
 )
 
 GOOD_PAIRS = ((5, 11), (5, 19), (5, 29), (5, 31), (7, 13))
+# levels divisible by 3, where G_r has order 2r/3
+LEVELS_DIVISIBLE_BY_3 = ((9, 17), (15, 29), (21, 43))
 
 # the classical list of the fifteen powers of A at level 5
 POWER_LIST_LEVEL_5 = [
@@ -81,6 +84,26 @@ def test_powers_of_A_level_7():
     assert len(got) == 21 and len(set(got)) == 21
     with pytest.raises(ValueError):
         powers_of_A_char0(4)
+
+
+def test_powers_of_g_stop_at_the_order():
+    # the walk ends at the multiplicative order of G_r mod p, which
+    # divides 6r; it passes -1, so -G_r adds no candidate
+    for r in range(5, 24, 2):
+        for p in (2, 7, 13):
+            if (3 * r) % p == 0:
+                continue
+            g = reduce_mod_p(g_r(r).value, p)
+            one = g**0
+            cur = g
+            for order in range(1, 12 * r + 1):
+                if cur == one:
+                    break
+                cur = cur * g
+            powers = _powers_of_g(r, p)
+            assert len(powers) == order and (6 * r) % order == 0, (r, p)
+            assert powers[:2] == [one, g]
+            assert -one in powers, (r, p)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +220,7 @@ def test_cor_1_2_matches_full_scan():
         return ObstructionVerdict(False, None, (r, p))
 
     rng = random.Random(317)
-    for r, p in ((5, 11), (5, 19), (7, 13), (9, 17)):
+    for r, p in ((5, 11), (5, 19), (7, 13)) + LEVELS_DIVISIBLE_BY_3:
         k = 3 * r
         for _ in range(3):
             planted = (
@@ -297,35 +320,50 @@ def test_thm_4_1_matches_literal_power():
         assert check_thm_4_1(lift, quotient, p) == laurent_ideal_membership(f, g_poly, p)
 
 
-def test_thm_1_1_matches_literal_power():
+def _thm_1_1_literal(vm, vmbar, r, p):
     # the congruence read with the literal p-th powers of vmbar and [3],
     # scanning each candidate power of +-G_r until it repeats
-    def literal(vm, vmbar, r, p):
-        g_poly = quantum_int_laurent(3) ** p - quantum_int_laurent(3)
-        vm_p = reduce_mod_p(vm, p)
-        vmbar_pow = reduce_mod_p(vmbar, p) ** p
-        for eps in (1, -1):
-            base = reduce_mod_p(g_r(r).value, p) * eps
-            cur, seen = base**0, set()
-            while cur.coeffs not in seen:
-                if ideal_membership_cyclo(vm_p - vmbar_pow * cur, g_poly, p, 3 * r):
-                    return ObstructionVerdict(True, Witness(eps, 0, len(seen)), (r, p))
-                seen.add(cur.coeffs)
-                cur = cur * base
-        return ObstructionVerdict(False, None, (r, p))
+    g_poly = quantum_int_laurent(3) ** p - quantum_int_laurent(3)
+    vm_p = reduce_mod_p(vm, p)
+    vmbar_pow = reduce_mod_p(vmbar, p) ** p
+    for eps in (1, -1):
+        base = reduce_mod_p(g_r(r).value, p) * eps
+        cur, seen = base**0, set()
+        while cur.coeffs not in seen:
+            if ideal_membership_cyclo(vm_p - vmbar_pow * cur, g_poly, p, 3 * r):
+                return ObstructionVerdict(True, Witness(eps, 0, len(seen)), (r, p))
+            seen.add(cur.coeffs)
+            cur = cur * base
+    return ObstructionVerdict(False, None, (r, p))
 
-    def random_value(rng, k):
-        terms = {rng.randrange(k): rng.randint(-3, 3) for _ in range(4)}
-        return CycloFraction(reduce(LaurentPoly(terms), k), rng.choice((1, 1, 2)))
 
+def _thm_1_1_value(rng, k, dens=(1, 1, 2)):
+    terms = {rng.randrange(k): rng.randint(-3, 3) for _ in range(4)}
+    return CycloFraction(reduce(LaurentPoly(terms), k), rng.choice(dens))
+
+
+def test_thm_1_1_matches_literal_power():
     rng = random.Random(347)
-    for r, p in GOOD_PAIRS + ((5, 7), (7, 11)):
+    for r, p in GOOD_PAIRS + ((5, 7), (7, 11)) + LEVELS_DIVISIBLE_BY_3:
         k = 3 * r
         for _ in range(3):
-            vmbar = random_value(rng, k)
+            vmbar = _thm_1_1_value(rng, k)
             planted = vmbar**p * g_r(r).value ** rng.randrange(4)
-            for vm in (planted, random_value(rng, k)):
-                assert check_thm_1_1(vm, vmbar, r, p) == literal(vm, vmbar, r, p)
+            for vm in (planted, _thm_1_1_value(rng, k)):
+                assert check_thm_1_1(vm, vmbar, r, p) == _thm_1_1_literal(vm, vmbar, r, p)
+
+
+def test_thm_1_1_at_p_2():
+    # gcd(2, 3r) = 1, so p = 2 is admitted; there the two signs of G_r
+    # coincide (the ideal is the unit ideal, as 2 is not +-1 mod r)
+    rng = random.Random(349)
+    for r in (5, 7, 9, 11, 15):
+        k = 3 * r
+        for _ in range(2):
+            vmbar = _thm_1_1_value(rng, k, dens=(1, 3))
+            planted = vmbar**2 * g_r(r).value ** rng.randrange(4)
+            for vm in (planted, _thm_1_1_value(rng, k, dens=(1, 3))):
+                assert check_thm_1_1(vm, vmbar, r, 2) == _thm_1_1_literal(vm, vmbar, r, 2)
 
 
 # ---------------------------------------------------------------------------

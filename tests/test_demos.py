@@ -1,5 +1,6 @@
 """Smoke test: every demo script runs to completion."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+SRC_DIR = DEMO_DIR.parent / "src"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
@@ -16,11 +18,14 @@ def test_demo_directory_is_populated():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
+    # the checkout's package, also when it is not installed
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

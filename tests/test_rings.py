@@ -15,10 +15,10 @@ from cycloquant.rings import (
     CycloFraction,
     DenominatorNotInvertibleError,
     LaurentPoly,
+    ModCycloElem,
     NotAUnitError,
     OrderMismatchError,
     cyclotomic_poly,
-    galois_conjugate,
     ideal_membership_cyclo,
     invert,
     laurent_ideal_membership,
@@ -26,7 +26,6 @@ from cycloquant.rings import (
     parse_ring_element,
     reduce,
     reduce_mod_p,
-    to_complex,
 )
 
 A = LaurentPoly.monomial(1)
@@ -152,10 +151,10 @@ def test_order_mismatch_raises():
 
 def test_galois_examples():
     x = CycloFraction(reduce(L21, 15), 3)
-    assert galois_conjugate(x, 1) == x
-    assert galois_conjugate(galois_conjugate(x, -1), -1) == x
+    assert x.galois(1) == x
+    assert x.galois(-1).galois(-1) == x
     a = CycloFraction(CycloElem.a_power(15, 1))
-    assert galois_conjugate(a, -1) == CycloFraction(CycloElem.a_power(15, 14))
+    assert a.galois(-1) == CycloFraction(CycloElem.a_power(15, 14))
 
 
 def test_galois_is_multiplicative():
@@ -261,6 +260,20 @@ def test_reduce_mod_p_is_ring_homomorphism():
             assert reduce_mod_p(x + y, p) == reduce_mod_p(x, p) + reduce_mod_p(y, p)
 
 
+def test_int_operand_matches_ring_product():
+    # an int operand scales the coefficients; it must equal the product
+    # with the constant ring element n
+    rng = random.Random(19)
+    p = 11
+    for k in (9, 15, 21):
+        x = reduce(_random_laurent(rng), k)
+        x_p = reduce_mod_p(x, p)
+        pad = (0,) * (len(x.coeffs) - 1)
+        for n in (-7, -1, 0, 1, 7, 22, -33):
+            assert x * n == n * x == x * CycloElem(k, (n,) + pad)
+            assert x_p * n == n * x_p == x_p * ModCycloElem(k, p, (n % p,) + pad)
+
+
 @given(
     data=st.data(),
     k=st.sampled_from([2, 3, 4, 6, 9, 12, 15, 21, 35]),
@@ -341,11 +354,11 @@ def test_laurent_ideal_membership_zero_g_falls_back_to_mod_p():
 
 def test_to_complex_examples():
     one = CycloFraction.from_int(1, 15)
-    assert abs(to_complex(one) - 1.0) < 1e-12
+    assert abs(one.to_complex() - 1.0) < 1e-12
     a4 = CycloFraction(CycloElem.a_power(4, 1))
-    assert abs(to_complex(a4, 1) - 1j) < 1e-12
+    assert abs(a4.to_complex(1) - 1j) < 1e-12
     wrap = reduce(LaurentPoly.monomial(15) - 1, 15)
-    assert abs(to_complex(CycloFraction(wrap))) < 1e-12
+    assert abs(CycloFraction(wrap).to_complex()) < 1e-12
 
 
 def test_to_complex_commutes_with_ring_ops():
