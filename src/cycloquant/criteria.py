@@ -13,13 +13,12 @@ import dataclasses
 import math
 from typing import Iterable
 
-from .gauss import _require_level, g_r, quantum_int_laurent
+from .gauss import _require_level, quantum_int_laurent
 from .links import BraidWord, LinkingMatrix, j_invariant, signature_counts
 from .moo import _require_odd, moo_fast
 from .rings import (
     CycloElem,
     CycloFraction,
-    ModCycloElem,
     _divmod,
     _require_prime,
     ideal_gcd_poly,
@@ -56,21 +55,14 @@ class ObstructionVerdict:
     context: tuple[int, int]  # (r or N, p)
 
 
-def _powers_of_g(r: int, p: int) -> list[ModCycloElem]:
-    """G_r^alpha mod p for alpha below the order of G_r mod p.
+def _g_order(k: int, p: int) -> int:
+    """The order of G_r = -A^-36 in F_p[A]/(Phi_k), k = 3r, gcd(p, k) = 1.
 
-    S1^2 S2^2 = -3r^2 by Gauss's evaluation of quadratic sums, so
-    G_r = -A^-36 and its order divides 2k = 6r: the walk closes within
-    that many steps.
+    A has order k there, so A^-36 has the odd order k/gcd(36, k); the
+    sign doubles it unless p = 2.
     """
-    g = reduce_mod_p(g_r(r).value, p)
-    powers = [ModCycloElem.one(g.order, p)]
-    for _ in range(6 * r):
-        nxt = powers[-1] * g
-        if nxt == powers[0]:
-            return powers
-        powers.append(nxt)
-    raise ArithmeticError(f"G_{r} mod {p} has no order up to {6 * r}")
+    odd = k // math.gcd(36, k)
+    return odd if p == 2 else 2 * odd
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +85,13 @@ def check_thm_1_1(
 ) -> ObstructionVerdict:
     """Is vm = vmbar^p * G_r^alpha modulo (p, [3]^p - [3]) for some alpha?
 
-    Both signs of G_r are admitted, but -G_r adds no candidate: -1 is a
-    power of G_r mod p (G_r = -A^-36 has even order for odd p, and the
-    signs agree for p = 2). A satisfied verdict always carries epsilon
-    = 1, as (1, 0, alpha).
+    G_r = -A^-36 (Gauss: S1^2 S2^2 = -3r^2), so -G_r adds no candidate:
+    -1 is a power of G_r mod p for odd p, and the signs agree for p = 2.
+    A satisfied verdict carries (1, 0, alpha) with the smallest alpha.
+    The ideal is generated by d = gcd(Phi_k, [3]^p - [3]) over F_p, which
+    divides A^k - 1, so a step alpha -> alpha + 1 is a shift by -36 mod k,
+    a sign and one division by d. alpha runs below the order of G_r mod p,
+    2k/gcd(36, k) (k/gcd(36, k) at p = 2), where the candidates repeat.
     """
     _require_level(r)
     _require_prime(p)
@@ -108,14 +103,14 @@ def check_thm_1_1(
     # x^p and the Frobenius A -> A^p agree mod p, and only residues mod p
     # are read below
     g_poly = quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
-    vm_p = reduce_mod_p(vm, p)
-    vmbar_pow = reduce_mod_p(vmbar.galois(p), p)
-    # the ideal is generated by d = gcd(Phi_k, g_poly) over F_p
     d = ideal_gcd_poly(g_poly, p, k)
-    for alpha, g_pow in enumerate(_powers_of_g(r, p)):
-        _, rem = _divmod((vm_p - vmbar_pow * g_pow).coeffs, d, p)
-        if not rem:
+    _, target = _divmod(reduce_mod_p(vm, p).coeffs, d, p)
+    _, cand = _divmod(reduce_mod_p(vmbar.galois(p), p).coeffs, d, p)
+    shift = [0] * (-36 % k)
+    for alpha in range(_g_order(k, p)):
+        if cand == target:
             return ObstructionVerdict(True, Witness(1, 0, alpha), (r, p))
+        _, cand = _divmod(shift + [-c for c in cand], d, p)
     return ObstructionVerdict(False, None, (r, p))
 
 
@@ -130,6 +125,10 @@ def check_cor_1_2(v: CycloFraction, r: int, p: int) -> ObstructionVerdict:
     congruence of the p-fold branched cover test reduces to membership
     of v mod p in this finite candidate set. Unsatisfied means: no knot
     has this manifold as its p-fold cyclic branched cover.
+
+    G_r = -A^-36, so every candidate is some +-A^t and those at alpha = 0
+    are already the whole set: the scan in (alpha, s, eps) order first
+    hits at alpha = 0, and one lookup of +-v mod p decides it.
     """
     _require_level(r)
     _require_prime(p)
@@ -140,20 +139,16 @@ def check_cor_1_2(v: CycloFraction, r: int, p: int) -> ObstructionVerdict:
     k = 3 * r
     if v.order != k:
         raise ValueError(f"invariant value must live at order {k}")
-    # v = eps A^s G^alpha iff v G^-alpha = eps A^s; k = 3r and p are odd,
-    # so the 2k values +-A^s are distinct and a lookup finds the only s
+    # k = 3r and p are odd, so the 2k values +-A^s are distinct and a
+    # lookup finds the only s
     s_of = {
         reduce_mod_p(CycloElem.a_power(k, s), p).coeffs: s for s in range(k)
     }
-    powers = _powers_of_g(r, p)
-    g_inv = powers[-1]
     w = reduce_mod_p(v, p)
-    for alpha in range(len(powers)):
-        for eps, x in ((1, w), (-1, -w)):
-            s = s_of.get(x.coeffs)
-            if s is not None:
-                return ObstructionVerdict(True, Witness(eps, s, alpha), (r, p))
-        w = w * g_inv
+    for eps, x in ((1, w), (-1, -w)):
+        s = s_of.get(x.coeffs)
+        if s is not None:
+            return ObstructionVerdict(True, Witness(eps, s, 0), (r, p))
     return ObstructionVerdict(False, None, (r, p))
 
 
@@ -206,7 +201,8 @@ def check_thm_5_1(
     z = moo_fast(matrix, n)
     z_bar = moo_fast(matrix_bar, n)
     z_p = reduce_mod_p(z.value, p)
-    z_bar_pow = reduce_mod_p(z_bar.value, p) ** p
+    # the Frobenius A -> A^p stands in for the p-th power: equal mod p
+    z_bar_pow = reduce_mod_p(z_bar.value.galois(p), p)
     for eps in (1, -1):
         if z_p == z_bar_pow * eps:
             return ObstructionVerdict(True, Witness(eps, 0, 0), (n, p))

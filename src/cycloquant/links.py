@@ -310,6 +310,7 @@ _STEP = {  # letter sign -> (smoothing terms, switch exponent)
     -1: (_SMOOTH_NEG.terms(), _SWITCH_NEG.min_exp),
 }
 _TERM_BUDGET = 5040  # = 7!, so every braid on at most 7 strands fits
+_STRAND_BUDGET = 64  # sigma_1 ... sigma_63 closes in 5 ms; that chain costs O(n^3)
 
 
 def _add_scaled(acc: dict, c: dict, terms) -> None:
@@ -398,8 +399,13 @@ def j_invariant(b: BraidWord) -> LaurentPoly:
     loop counts [3] = A^-6 + 1 + A^6. The cost is linear in word length
     times the number of basis terms; an intermediate element with more
     than 7! terms raises RecursionBudgetExceeded, so every braid on at
-    most 7 strands is answered.
+    most 7 strands is answered. Each term costs O(n^2) in the trace, so
+    a braid on more than 64 strands is refused before any work.
     """
+    if b.strands > _STRAND_BUDGET:
+        raise RecursionBudgetExceeded(
+            f"braid has {b.strands} strands, budget is {_STRAND_BUDGET}"
+        )
     elem = {tuple(range(b.strands)): {0: 1}}
     for g in b.word:
         elem = _times_letter(elem, g)

@@ -132,6 +132,19 @@ def test_jinv_over_budget_exits_2_fast(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "strands, word", [(1500, list(range(1, 1500))), (2000, [])], ids=["chain", "bare"]
+)
+def test_jinv_many_strands_exits_2_fast(capsys, tmp_path, strands, word):
+    # the strand budget refuses these before any Hecke work
+    path = write_json(tmp_path, "wide.json", {"strands": strands, "word": word})
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "jinv", "--braid", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:") and "strands" in err
+
+
 def test_lkmatrix_golden(capsys, tmp_path):
     path = write_json(
         tmp_path, "hopf.json", {"strands": 2, "word": [1, 1], "framings": [0, 0]}

@@ -11,7 +11,7 @@ from cycloquant.criteria import (
     LENS_SPACE_2_1_LEVEL_5,
     ObstructionVerdict,
     Witness,
-    _powers_of_g,
+    _g_order,
     check_cor_1_2,
     check_thm_1_1,
     check_thm_4_1,
@@ -19,8 +19,14 @@ from cycloquant.criteria import (
     powers_of_A_char0,
 )
 from cycloquant.gauss import g_r, quantum_int_laurent
-from cycloquant.links import BraidWord, j_invariant, periodic_lift
-from cycloquant.moo import moo_invariant
+from cycloquant.links import (
+    BraidWord,
+    LinkingMatrix,
+    j_invariant,
+    periodic_lift,
+    signature_counts,
+)
+from cycloquant.moo import moo_fast, moo_invariant
 from cycloquant.rings import (
     CycloElem,
     CycloFraction,
@@ -86,24 +92,30 @@ def test_powers_of_A_level_7():
         powers_of_A_char0(4)
 
 
-def test_powers_of_g_stop_at_the_order():
-    # the walk ends at the multiplicative order of G_r mod p, which
-    # divides 6r; it passes -1, so -G_r adds no candidate
+def test_g_r_is_a_signed_power_of_A():
+    # Gauss's evaluation S1^2 S2^2 = -3r^2 makes G_r = -A^-36 exactly;
+    # the criteria read this closed form, g_r stays the definition
+    for r in range(5, 62, 2):
+        k = 3 * r
+        got = g_r(r)
+        assert got.value == -_a_power(k, -36 % k), r
+        assert got.epsilon == -1, r
+
+
+def test_g_order_is_the_order_of_g_r():
+    # the closed-form order against a walk over the powers of G_r mod p
     for r in range(5, 24, 2):
         for p in (2, 7, 13):
-            if (3 * r) % p == 0:
+            k = 3 * r
+            if k % p == 0:
                 continue
             g = reduce_mod_p(g_r(r).value, p)
-            one = g**0
-            cur = g
-            for order in range(1, 12 * r + 1):
-                if cur == one:
-                    break
-                cur = cur * g
-            powers = _powers_of_g(r, p)
-            assert len(powers) == order and (6 * r) % order == 0, (r, p)
-            assert powers[:2] == [one, g]
-            assert -one in powers, (r, p)
+            one, cur, order = g**0, g, 1
+            while cur != one:
+                cur, order = cur * g, order + 1
+            assert _g_order(k, p) == order, (r, p)
+            # -1 is a power of G_r, so -G_r adds no candidate
+            assert p == 2 or g ** (order // 2) == -one, (r, p)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +365,19 @@ def test_thm_1_1_matches_literal_power():
                 assert check_thm_1_1(vm, vmbar, r, p) == _thm_1_1_literal(vm, vmbar, r, p)
 
 
+def test_thm_1_1_reaches_the_last_power():
+    # for p = +-1 mod r the ideal is (p), where G_r keeps its full order,
+    # so vmbar^p * G_r^-1 is first matched at the last alpha of the walk
+    for r, p in GOOD_PAIRS + LEVELS_DIVISIBLE_BY_3:
+        k = 3 * r
+        last = _g_order(k, p) - 1
+        vmbar = _a_power(k, 1)
+        vm = vmbar**p * g_r(r).value ** last
+        verdict = check_thm_1_1(vm, vmbar, r, p)
+        assert verdict == _thm_1_1_literal(vm, vmbar, r, p)
+        assert verdict.witness == Witness(1, 0, last), (r, p)
+
+
 def test_thm_1_1_at_p_2():
     # gcd(2, 3r) = 1, so p = 2 is admitted; there the two signs of G_r
     # coincide (the ideal is the unit ideal, as 2 is not +-1 mod r)
@@ -398,6 +423,16 @@ def test_thm_5_1_negative_case():
     assert v.context == (9, 5)
 
 
+def _thm_5_1_literal(z, z_bar, p, n):
+    # the congruence read with the literal p-th power of Z_N(Bbar) mod p
+    z_p = reduce_mod_p(z.value, p)
+    z_bar_pow = reduce_mod_p(z_bar.value, p) ** p
+    signs = [eps for eps in (1, -1) if z_p == z_bar_pow * eps]
+    return ObstructionVerdict(
+        bool(signs), Witness(signs[0], 0, 0) if signs else None, (n, p)
+    )
+
+
 def test_thm_5_1_dual_path_oracle():
     # the verdict from the brute-force moo_invariant, computed here; the
     # fast switch is a no-op
@@ -408,15 +443,50 @@ def test_thm_5_1_dual_path_oracle():
         ([[3, 0], [0, 6]], [[3]], 2, 9),
         ([[1, 0], [0, 1]], [[1]], 2, 15),
     ):
-        z_p = reduce_mod_p(moo_invariant(b, n).value, p)
-        z_bar_pow = reduce_mod_p(moo_invariant(bbar, n).value, p) ** p
-        signs = [eps for eps in (1, -1) if z_p == z_bar_pow * eps]
-        want = ObstructionVerdict(
-            bool(signs), Witness(signs[0], 0, 0) if signs else None, (n, p)
-        )
+        want = _thm_5_1_literal(moo_invariant(b, n), moo_invariant(bbar, n), p, n)
         assert check_thm_5_1(b, bbar, p, n) == want
         assert check_thm_5_1(b, bbar, p, n, fast=False) == want
         assert check_thm_5_1(b, bbar, p, n, fast=True) == want
+
+
+def _periodic_pair(rng, p, size):
+    # B = P^T (Bbar + ... + Bbar) P: p diagonal copies, P unimodular
+    bbar = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            bbar[i][j] = bbar[j][i] = rng.randint(-3, 3)
+        bbar[i][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    m = p * size
+    block = [[0] * m for _ in range(m)]
+    for c in range(p):
+        for i in range(size):
+            for j in range(size):
+                block[c * size + i][c * size + j] = bbar[i][j]
+    basis = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(m):
+        i, j = rng.sample(range(m), 2)
+        basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+    rows = [[sum(basis[a][i] * block[a][b] * basis[b][j] for a in range(m) for b in range(m))
+             for j in range(m)] for i in range(m)]
+    return rows, bbar
+
+
+def test_thm_5_1_matches_literal_power():
+    # the Frobenius A -> A^p against the literal p-th power, on periodic
+    # pairs and on some non-periodic controls
+    rng = random.Random(353)
+    checked = 0
+    while checked < 40:
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.choice([n for n in (5, 7, 9, 11, 15, 21, 25) if n % p])
+        b, bbar = _periodic_pair(rng, p, rng.randint(1, 2))
+        if signature_counts(LinkingMatrix.from_rows(bbar)).nullity:
+            continue
+        if rng.random() < 0.3:
+            b = [[rng.choice((-2, -1, 1, 2))]]
+        want = _thm_5_1_literal(moo_fast(b, n), moo_fast(bbar, n), p, n)
+        assert check_thm_5_1(b, bbar, p, n) == want, (b, bbar, p, n)
+        checked += 1
 
 
 def test_thm_5_1_validation():

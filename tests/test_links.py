@@ -331,6 +331,15 @@ def test_j_term_budget_fails_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_j_strand_budget():
+    # 64 strands are answered; one more is refused before any work
+    assert j_invariant(BraidWord(64, tuple(range(1, 64)))) == j_invariant(BraidWord(1, ()))
+    start = time.perf_counter()
+    with pytest.raises(RecursionBudgetExceeded):
+        j_invariant(BraidWord(65, ()))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_j_answers_seven_strands():
     # the full twist on 7 strands reaches all 7! basis terms
     b = BraidWord(7, tuple(range(1, 7)) * 7)
