@@ -15,10 +15,11 @@ from typing import Iterable
 
 from .gauss import _require_level, quantum_int_laurent
 from .links import BraidWord, LinkingMatrix, j_invariant, signature_counts
-from .moo import _require_odd, moo_fast
+from .moo import _as_matrix, _require_odd, moo_fast
 from .rings import (
     CycloElem,
     CycloFraction,
+    LaurentPoly,
     _divmod,
     _require_prime,
     ideal_gcd_poly,
@@ -53,6 +54,11 @@ class ObstructionVerdict:
     satisfied: bool
     witness: Witness | None
     context: tuple[int, int]  # (r or N, p)
+
+
+def _periodicity_generator(p: int) -> LaurentPoly:
+    """[3]^p - [3] with the Frobenius A -> A^p for the p-th power (equal mod p)."""
+    return quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
 
 
 def _g_order(k: int, p: int) -> int:
@@ -102,8 +108,7 @@ def check_thm_1_1(
         raise ValueError(f"invariant values must live at order {k}")
     # x^p and the Frobenius A -> A^p agree mod p, and only residues mod p
     # are read below
-    g_poly = quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
-    d = ideal_gcd_poly(g_poly, p, k)
+    d = ideal_gcd_poly(_periodicity_generator(p), p, k)
     _, target = _divmod(reduce_mod_p(vm, p).coeffs, d, p)
     _, cand = _divmod(reduce_mod_p(vmbar.galois(p), p).coeffs, d, p)
     shift = [0] * (-36 % k)
@@ -163,8 +168,7 @@ def check_thm_4_1(lift: BraidWord, quotient: BraidWord, p: int) -> bool:
     _require_prime(p)
     # the Frobenius A -> A^p stands in for the p-th power: equal mod p
     f = j_invariant(lift) - j_invariant(quotient).subst_power(p)
-    g_poly = quantum_int_laurent(3).subst_power(p) - quantum_int_laurent(3)
-    return laurent_ideal_membership(f, g_poly, p)
+    return laurent_ideal_membership(f, _periodicity_generator(p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +189,7 @@ def check_thm_5_1(
     p = 1 is accepted as the degenerate identity case. Z_N is always
     computed by moo_fast; `fast` is accepted and ignored.
     """
-    if not isinstance(matrix, LinkingMatrix):
-        matrix = LinkingMatrix.from_rows(matrix)
-    if not isinstance(matrix_bar, LinkingMatrix):
-        matrix_bar = LinkingMatrix.from_rows(matrix_bar)
+    matrix, matrix_bar = _as_matrix(matrix), _as_matrix(matrix_bar)
     _require_odd(n)
     for b in (matrix, matrix_bar):
         if signature_counts(b).nullity != 0:
@@ -208,11 +209,3 @@ def check_thm_5_1(
             return ObstructionVerdict(True, Witness(eps, 0, 0), (n, p))
     return ObstructionVerdict(False, None, (n, p))
 
-
-if __name__ == "__main__":
-    for p in (11, 19, 29, 31):
-        verdict = check_cor_1_2(LENS_SPACE_2_1_LEVEL_5, 5, p)
-        state = "CONSISTENT" if verdict.satisfied else "OBSTRUCTED"
-        print(f"p = {p}: {state}")
-    print(check_thm_4_1(BraidWord(2, (1, 1, 1)), BraidWord(2, (1,)), 3))
-    print(check_thm_5_1([[1], ], [[1]], 3, 5))

@@ -128,11 +128,3 @@ def g_r(r: int) -> GrResult:
         raise ArithmeticError("G_r does not match the eta ratio up to sign")
     return GrResult(value, epsilon)
 
-
-if __name__ == "__main__":
-    print("[3] =", quantum_int_laurent(3))
-    print("S1(5) =", s1(5))
-    print("S2(5) =", s2(5))
-    res = g_r(5)
-    print("G_5 =", res.value, " epsilon =", res.epsilon)
-    print("|G_5|^2 =", res.value * res.value.galois(-1))

@@ -32,6 +32,11 @@ class RecursionBudgetExceeded(RuntimeError):
     """Raised when a J evaluation outgrows its budget."""
 
 
+def _is_int(x: object) -> bool:
+    """True for an int, false for a bool or any other number (JSON 1.5, "3")."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # braid words and framed links
 
@@ -50,11 +55,11 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", tuple(self.word))
-        if self.strands < 1:
-            raise ValueError("braid needs at least one strand")
+        if not _is_int(self.strands) or self.strands < 1:
+            raise ValueError(f"strand count must be a positive integer, got {self.strands!r}")
         for g in self.word:
-            if not isinstance(g, int) or g == 0 or abs(g) >= self.strands:
-                raise ValueError(f"letter {g!r} invalid on {self.strands} strands")
+            if not _is_int(g) or g == 0 or abs(g) >= self.strands:
+                raise ValueError(f"letter {g!r} is not an integer 0 < |g| < {self.strands}")
 
     def mirror(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-g for g in self.word))
@@ -89,6 +94,11 @@ def closure_components(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
+def _component_of(comps: Iterable[Sequence[int]]) -> dict[int, int]:
+    """Strand -> index of the closure component through it."""
+    return {s: idx for idx, cycle in enumerate(comps) for s in cycle}
+
+
 @dataclasses.dataclass(frozen=True)
 class FramedBraidLink:
     """A braid closure with one integer framing per component."""
@@ -98,6 +108,8 @@ class FramedBraidLink:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "framings", tuple(self.framings))
+        if not all(_is_int(f) for f in self.framings):
+            raise ValueError(f"framings must be integers, got {list(self.framings)}")
         n_comps = len(closure_components(self.braid))
         if len(self.framings) != n_comps:
             raise ValueError(
@@ -108,13 +120,13 @@ class FramedBraidLink:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FramedBraidLink":
         try:
-            braid = BraidWord(int(data["strands"]), tuple(data["word"]))
+            braid = BraidWord(data["strands"], tuple(data["word"]))
         except KeyError as exc:
             raise ValueError(f"braid JSON is missing key {exc}") from exc
         framings = data.get("framings")
         if framings is None:
             framings = (0,) * len(closure_components(braid))
-        return cls(braid, tuple(int(f) for f in framings))
+        return cls(braid, tuple(framings))
 
     def to_dict(self) -> dict:
         return {
@@ -135,13 +147,13 @@ class LinkingMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(x) for x in row) for row in self.entries)
-        )
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
         m = len(self.entries)
         for row in self.entries:
             if len(row) != m:
                 raise ValueError("matrix must be square")
+            if not all(_is_int(x) for x in row):
+                raise ValueError(f"matrix entries must be integers, got {list(row)}")
         for i in range(m):
             for j in range(i):
                 if self.entries[i][j] != self.entries[j][i]:
@@ -177,10 +189,7 @@ def linking_matrix(link: FramedBraidLink) -> LinkingMatrix:
     """
     b = link.braid
     comps = closure_components(b)
-    comp_of = [0] * b.strands
-    for idx, cycle in enumerate(comps):
-        for s in cycle:
-            comp_of[s] = idx
+    comp_of = _component_of(comps)
     m = len(comps)
     inter = [[0] * m for _ in range(m)]
     occ = list(range(b.strands))
@@ -309,7 +318,9 @@ _STEP = {  # letter sign -> (smoothing terms, switch exponent)
     1: (_SMOOTH_POS.terms(), _SWITCH_POS.min_exp),
     -1: (_SMOOTH_NEG.terms(), _SWITCH_NEG.min_exp),
 }
-_TERM_BUDGET = 5040  # = 7!, so every braid on at most 7 strands fits
+# terms x strands^2 bounds the work of a trace step; the full twist on
+# 7 strands reaches all 7! terms and sits exactly at the budget
+_WORK_BUDGET = 5040 * 7**2
 _STRAND_BUDGET = 64  # sigma_1 ... sigma_63 closes in 5 ms; that chain costs O(n^3)
 
 
@@ -321,9 +332,11 @@ def _add_scaled(acc: dict, c: dict, terms) -> None:
 
 
 def _within_budget(elem: dict) -> dict:
-    if len(elem) > _TERM_BUDGET:
+    n = len(next(iter(elem), ()))
+    if len(elem) * n * n > _WORK_BUDGET:
         raise RecursionBudgetExceeded(
-            f"Hecke element has {len(elem)} terms, budget is {_TERM_BUDGET}"
+            f"Hecke element has {len(elem)} terms on {n} strands; "
+            f"terms x strands^2 is budgeted at {_WORK_BUDGET}"
         )
     return elem
 
@@ -397,10 +410,11 @@ def j_invariant(b: BraidWord) -> LaurentPoly:
     Multiplies T_g (T_{-g}^-1 for a negative letter) into H_n one letter
     at a time, then takes the Markov trace, normalised so that a closed
     loop counts [3] = A^-6 + 1 + A^6. The cost is linear in word length
-    times the number of basis terms; an intermediate element with more
-    than 7! terms raises RecursionBudgetExceeded, so every braid on at
-    most 7 strands is answered. Each term costs O(n^2) in the trace, so
-    a braid on more than 64 strands is refused before any work.
+    times the number of basis terms, and each term costs O(n^2) in the
+    trace. An intermediate element whose terms times strands^2 exceed
+    7! * 7^2 raises RecursionBudgetExceeded, so every braid on at most
+    7 strands is answered; a braid on more than 64 strands is refused
+    before any work.
     """
     if b.strands > _STRAND_BUDGET:
         raise RecursionBudgetExceeded(
@@ -563,12 +577,8 @@ def lift_component_rotation(b: BraidWord, p: int) -> tuple[int, ...]:
     Entry c is the index of the component that component c of the lift
     closure maps to under a one-block rotation.
     """
-    lift = periodic_lift(b, p)
-    comps = closure_components(lift)
-    comp_of = [0] * lift.strands
-    for idx, cycle in enumerate(comps):
-        for s in cycle:
-            comp_of[s] = idx
+    comps = closure_components(periodic_lift(b, p))
+    comp_of = _component_of(comps)
     perm = b.permutation()
     return tuple(comp_of[perm[cycle[0]]] for cycle in comps)
 
@@ -597,23 +607,10 @@ def strong_periodicity_check(
     framings = tuple(int(f) for f in framings)
     if len(framings) != len(quotient_comps):
         raise ValueError("framing vector length must match quotient components")
-    q_comp_of = [0] * b.strands
-    for idx, cycle in enumerate(quotient_comps):
-        for s in cycle:
-            q_comp_of[s] = idx
+    q_comp_of = _component_of(quotient_comps)
     lift = periodic_lift(b, p)
     lift_comps = closure_components(lift)
     lifted_framings = tuple(framings[q_comp_of[cycle[0]]] for cycle in lift_comps)
     ok = all(len(cycle) % p == 0 for cycle in lift_comps)
     return StrongPeriodicityResult(ok, FramedBraidLink(lift, lifted_framings))
 
-
-if __name__ == "__main__":
-    hopf = BraidWord(2, (1, 1))
-    print("Hopf components:", closure_components(hopf))
-    link = FramedBraidLink(hopf, (0, 0))
-    print("Hopf linking matrix:", linking_matrix(link).rows())
-    print("J(unknot) =", j_invariant(BraidWord(1)))
-    print("J(Hopf+)  =", j_invariant(hopf))
-    print("J(trefoil) =", j_invariant(BraidWord(2, (1, 1, 1))))
-    print("signature diag(2,-3):", signature_counts([[2, 0], [0, -3]]))

@@ -187,11 +187,3 @@ def moo_fast(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValu
     b = _as_matrix(matrix)
     return _assemble(_bracket_fast(b, n), b, n)
 
-
-if __name__ == "__main__":
-    print("Z_3(S^3 as empty surgery) =", moo_invariant([], 3))
-    print("Z_3([[1]]) =", moo_invariant([[1]], 3))
-    print("Z_3([[2]]) =", moo_invariant([[2]], 3))
-    print("Z_5([[0,1],[1,0]]) =", moo_invariant([[0, 1], [1, 0]], 5))
-    print("Z_5 fast    same    =", moo_fast([[0, 1], [1, 0]], 5))
-    print("Z_5([[0]]) =", moo_invariant([[0]], 5))

@@ -24,7 +24,7 @@ import dataclasses
 import functools
 import math
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 
 class OrderMismatchError(ArithmeticError):
@@ -91,17 +91,6 @@ def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int, p: int = 0) -> tupl
     return tuple(rem) + (0,) * (euler_phi(k) - len(rem))
 
 
-def _power(base, n: int, one):
-    """base**n by square-and-multiply, n >= 0, for any ring element type."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
-
-
 @functools.cache
 def _phi_dense(k: int) -> tuple[int, ...]:
     """Dense coefficients of Phi_k, computed by exact division of A^k - 1."""
@@ -123,10 +112,59 @@ def euler_phi(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the operators every ring element type shares
+
+_R = TypeVar("_R", bound="_RingOps")
+
+
+class _RingOps:
+    """Reflected, difference and power operators of a ring element type.
+
+    A subclass supplies _coerced (same-ring operand or int to an element,
+    None otherwise), __add__, __neg__ and __mul__ in its own body; the
+    rest follows from those. The unit is _coerced(1). Products go through
+    attribute lookup of __mul__, so a wrapper set on the class (as
+    perfbench/tracer.py does) sees every one of them.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self: _R, other: object) -> _R:
+        return self.__add__(other)
+
+    def __sub__(self: _R, other: object) -> _R:
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self: _R, other: object) -> _R:
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __rmul__(self: _R, other: object) -> _R:
+        return self.__mul__(other)
+
+    def __pow__(self: _R, n: int) -> _R:
+        """self**n by square-and-multiply, n >= 0."""
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}; use CycloFraction")
+        result, base = self._coerced(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+# ---------------------------------------------------------------------------
 # Laurent polynomials over Z
 
 
-class LaurentPoly:
+class LaurentPoly(_RingOps):
     """Integer Laurent polynomial in A."""
 
     __slots__ = ("_terms",)
@@ -183,22 +221,8 @@ class LaurentPoly:
             data[e] = data.get(e, 0) + c
         return LaurentPoly(data)
 
-    __radd__ = __add__
-
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: object) -> LaurentPoly:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> LaurentPoly:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other: object) -> LaurentPoly:
         o = self._coerced(other)
@@ -210,13 +234,6 @@ class LaurentPoly:
                 e = e1 + e2
                 data[e] = data.get(e, 0) + c1 * c2
         return LaurentPoly(data)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are not Laurent-polynomial valued here")
-        return _power(self, n, LaurentPoly({0: 1}))
 
     def subst_power(self, t: int) -> LaurentPoly:
         """A |-> A^t (t nonzero), e.g. t = -1 is the mirror/conjugation map."""
@@ -274,7 +291,7 @@ def cyclotomic_poly(k: int) -> LaurentPoly:
 
 
 @dataclasses.dataclass(frozen=True)
-class CycloElem:
+class CycloElem(_RingOps):
     """Canonical representative in Z[A^{+-1}]/(Phi_order), degree < phi(order)."""
 
     order: int
@@ -305,9 +322,7 @@ class CycloElem:
     def _coerced(self, other: object) -> CycloElem | None:
         if isinstance(other, CycloElem):
             if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cannot mix orders {self.order} and {other.order}"
-                )
+                raise OrderMismatchError(f"cannot mix orders {self.order} and {other.order}")
             return other
         if isinstance(other, int):
             return CycloElem(self.order, (other,) + (0,) * (len(self.coeffs) - 1))
@@ -322,22 +337,8 @@ class CycloElem:
             return NotImplemented
         return CycloElem(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self) -> CycloElem:
         return CycloElem(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: object) -> CycloElem:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> CycloElem:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other: object) -> CycloElem:
         if isinstance(other, int):
@@ -346,13 +347,6 @@ class CycloElem:
         if o is None:
             return NotImplemented
         return CycloElem(self.order, _mul_mod_phi(self.coeffs, o.coeffs, self.order))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> CycloElem:
-        if n < 0:
-            raise ValueError("negative powers need invert(); see CycloFraction")
-        return _power(self, n, CycloElem.one(self.order))
 
     def to_laurent(self) -> LaurentPoly:
         return LaurentPoly(dict(enumerate(self.coeffs)))
@@ -394,7 +388,7 @@ def reduce(poly: LaurentPoly, order: int) -> CycloElem:
 # localizations: elem / positive integer
 
 
-class CycloFraction:
+class CycloFraction(_RingOps):
     """A CycloElem divided by a positive integer, in normalized form.
 
     Instances are treated as immutable.  Normalization makes equality
@@ -426,9 +420,7 @@ class CycloFraction:
     def _coerced(self, other: object) -> CycloFraction | None:
         if isinstance(other, CycloFraction):
             if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cannot mix orders {self.order} and {other.order}"
-                )
+                raise OrderMismatchError(f"cannot mix orders {self.order} and {other.order}")
             return other
         if isinstance(other, CycloElem):
             return CycloFraction(self.num._coerced(other), 1)
@@ -445,30 +437,14 @@ class CycloFraction:
             return NotImplemented
         return CycloFraction(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> CycloFraction:
         return CycloFraction(-self.num, self.den)
-
-    def __sub__(self, other: object) -> CycloFraction:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> CycloFraction:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other: object) -> CycloFraction:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
         return CycloFraction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> CycloFraction:
         if isinstance(other, int):
@@ -538,12 +514,12 @@ def invert(
         raise ArithmeticError("the norm is not an integer")
     result = CycloFraction(c * frac.den, norm[0])
     if allowed_primes is not None:
-        allowed = set(allowed_primes)
-        bad = prime_factors(result.den) - allowed
-        if bad:
-            raise NotAUnitError(
-                f"inverse needs primes {sorted(bad)} outside allowed {sorted(allowed)}"
-            )
+        rest = result.den
+        for q in allowed_primes:  # divide the allowed primes out, factor nothing
+            while q > 1 and rest % q == 0:
+                rest //= q
+        if rest != 1:
+            raise NotAUnitError(f"inverse needs the denominator factor {rest}, not allowed")
     return result
 
 
@@ -551,20 +527,8 @@ def invert(
 # mod-p quotients F_p[A]/(Phi_k mod p)
 
 
-def _gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Monic gcd over F_p of two dense polynomials."""
-    r0, r1 = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while r1:
-        _, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-    if r0:
-        inv_lead = pow(r0[-1], -1, p)
-        r0 = [c * inv_lead % p for c in r0]
-    return r0
-
-
 @dataclasses.dataclass(frozen=True)
-class ModCycloElem:
+class ModCycloElem(_RingOps):
     """Element of F_p[A]/(Phi_order mod p), coefficients in [0, p)."""
 
     order: int
@@ -615,22 +579,8 @@ class ModCycloElem:
             tuple((a + b) % self.p for a, b in zip(self.coeffs, o.coeffs)),
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> ModCycloElem:
         return ModCycloElem(self.order, self.p, tuple(-c % self.p for c in self.coeffs))
-
-    def __sub__(self, other: object) -> ModCycloElem:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> ModCycloElem:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other: object) -> ModCycloElem:
         if isinstance(other, int):
@@ -643,16 +593,8 @@ class ModCycloElem:
             self.order, self.p, _mul_mod_phi(self.coeffs, o.coeffs, self.order, self.p)
         )
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> ModCycloElem:
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        return _power(self, n, ModCycloElem.one(self.order, self.p))
-
     def __str__(self) -> str:
-        poly = LaurentPoly(dict(enumerate(self.coeffs)))
-        return f"{poly} (mod {self.p})"
+        return f"{LaurentPoly(dict(enumerate(self.coeffs)))} (mod {self.p})"
 
 
 def reduce_mod_p(x: CycloElem | CycloFraction, p: int) -> ModCycloElem:
@@ -672,13 +614,10 @@ def reduce_mod_p(x: CycloElem | CycloFraction, p: int) -> ModCycloElem:
 
 def _laurent_mod_p_cleared(g: LaurentPoly, p: int) -> list[int]:
     """g mod p with the A-power content removed; [] iff g = 0 mod p."""
-    nonzero = [(e, c % p) for e, c in g.terms() if c % p]
-    if not nonzero:
-        return []
-    shift = min(e for e, _ in nonzero)
-    dense = [0] * (max(e for e, _ in nonzero) - shift + 1)
+    nonzero = [(e, c % p) for e, c in g.terms() if c % p]  # sorted by exponent
+    dense = [0] * (nonzero[-1][0] - nonzero[0][0] + 1) if nonzero else []
     for e, c in nonzero:
-        dense[e - shift] = c
+        dense[e - nonzero[0][0]] = c
     return dense
 
 
@@ -706,10 +645,13 @@ def ideal_gcd_poly(g: LaurentPoly, p: int, k: int) -> tuple[int, ...]:
     with the A-power content of g cleared; () when g vanishes mod p.
     """
     _require_prime(p)
-    g_bar = _laurent_mod_p_cleared(g, p)
-    if not g_bar:
+    r0, r1 = [c % p for c in _phi_dense(k)], _laurent_mod_p_cleared(g, p)
+    if not r1:
         return ()
-    return tuple(_gcd_mod_p(_phi_dense(k), g_bar, p))
+    while r1:  # Euclid over F_p; Phi_k is monic, so the gcd is nonzero
+        r0, r1 = r1, _divmod(r0, r1, p)[1]
+    inv_lead = pow(r0[-1], -1, p)
+    return tuple(c * inv_lead % p for c in r0)
 
 
 def laurent_ideal_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
@@ -746,53 +688,74 @@ def parse_laurent(s: str) -> LaurentPoly:
     guarded = text.replace("^-", "^~")  # keep exponent signs out of the split
     tokens = re.split(r"([+-])", guarded)
     terms: list[tuple[int, int]] = []
-    sign = 1
-    pending_sign = False
+    sign = None  # the sign read since the last term
     for tok in tokens:
         tok = tok.strip()
         if not tok:
             continue
         if tok in "+-":
-            if pending_sign:
+            if sign is not None:
                 raise ValueError(f"dangling sign in {s!r}")
             sign = 1 if tok == "+" else -1
-            pending_sign = True
             continue
         m = _TERM_RE.match(tok.replace("~", "-"))
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"bad term {tok!r} in {s!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            exponent = 0
-        else:
-            exponent = int(m.group(3)) if m.group(3) else 1
-        terms.append((exponent, sign * coeff))
-        sign = 1
-        pending_sign = False
-    if pending_sign:
+        exponent = 0 if m.group(2) is None else int(m.group(3) or 1)
+        terms.append((exponent, (sign or 1) * int(m.group(1) or 1)))
+        sign = None
+    if sign is not None:
         raise ValueError(f"dangling sign in {s!r}")
     return LaurentPoly(terms)
 
 
 def parse_ring_element(s: str, order: int) -> CycloFraction:
     """Parse "(...)/den" or a bare polynomial into the order-k quotient."""
-    text = s.strip()
-    m = _FRACTION_RE.match(text)
+    m = _FRACTION_RE.match(s.strip())
     if m:
-        poly = parse_laurent(m.group("num"))
-        den = int(m.group("den"))
-    else:
-        poly = parse_laurent(text)
-        den = 1
-    return CycloFraction(reduce(poly, order), den)
+        return CycloFraction(reduce(parse_laurent(m.group("num")), order), int(m.group("den")))
+    return CycloFraction(reduce(parse_laurent(s), order))
 
 
 # ---------------------------------------------------------------------------
 # small integer utilities
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all 13 bases above (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return prime_factors(n) == {n}
+    """Exact primality for n below about 3.3e24; ValueError above.
+
+    Trial division by the primes up to 41 settles n < 43^2; above that,
+    Miller-Rabin to those same 13 bases is exact below the limit.
+    """
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"primality is only decided below {_MILLER_RABIN_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a strong probable prime meets -1 among x, x^2, x^4, ...
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def _require_prime(p: int) -> None:
@@ -814,10 +777,3 @@ def prime_factors(n: int) -> set[int]:
     if n > 1:
         out.add(n)
     return out
-
-
-if __name__ == "__main__":
-    print("Phi_15 =", cyclotomic_poly(15))
-    print("A^8    =", CycloElem.a_power(15, 8))
-    x = reduce(LaurentPoly({3: 1, -3: -1}), 15)  # A^3 - A^-3
-    print("1/(A^3 - A^-3) =", invert(x, allowed_primes={3, 5}))

@@ -350,6 +350,50 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("moo", {"matrix": [[1.5]]}),
+        ("moo", {"matrix": [["3"]]}),
+        ("jinv", {"strands": 2.9, "word": [1, 1, 1]}),
+        ("jinv", {"strands": 2, "word": [1, True, 1]}),
+        ("jinv", {"strands": 2, "word": [1, 1], "framings": [0.7, 0]}),
+    ],
+    ids=["float-entry", "string-entry", "float-strands", "bool-letter", "float-framing"],
+)
+def test_non_integer_json_exits_2(capsys, tmp_path, command, payload):
+    # a JSON number must be an integer; 1.5, "3", 2.9, true and 0.7 were
+    # once truncated or taken as 1
+    path = write_json(tmp_path, "bad.json", payload)
+    flag = "--matrix" if command == "moo" else "--braid"
+    extra = ("--n", "5") if command == "moo" else ()
+    code, out, err = run_cli(capsys, command, flag, path, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "integer" in err
+
+
+def test_check_cor12_large_prime_is_fast(capsys):
+    # 10^18 + 9 is prime and = -1 mod 5; primality is decided at once
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "check-cor12", "--v", "1", "--r", "5", "--p", str(10**18 + 9)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == "CONSISTENT epsilon=1 s=0 alpha=0\n"
+
+
+def test_check_cor12_prime_beyond_exact_range_exits_2(capsys):
+    # primality is exact below 3.3e24 only; larger p is refused
+    p = 10**25 + 9
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check-cor12", "--v", "1", "--r", "5", "--p", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_braid_missing_strands_exits_2(capsys, tmp_path):
     path = write_json(tmp_path, "bad.json", {"word": [1]})
     code, _, err = run_cli(capsys, "jinv", "--braid", str(path))

@@ -322,13 +322,21 @@ def test_j_budget():
 
 # the full twist on 8 strands spreads over more basis terms than 7! = 5040
 OVER_BUDGET = BraidWord(8, tuple(range(1, 8)) * 8)
+# 64-strand words whose Hecke terms times strands^2 reach millions; they
+# took 5.7 s and 8.2 s under a bare term budget
+CHAIN_64 = tuple(range(1, 64))
+WIDE_OVER_BUDGET = (
+    BraidWord(64, CHAIN_64 * 3),
+    BraidWord(64, tuple(range(1, 6)) * 6 + CHAIN_64 * 2),
+)
 
 
 def test_j_term_budget_fails_fast():
-    start = time.perf_counter()
-    with pytest.raises(RecursionBudgetExceeded):
-        j_invariant(OVER_BUDGET)
-    assert time.perf_counter() - start < 1.0
+    for b in (OVER_BUDGET, *WIDE_OVER_BUDGET):
+        start = time.perf_counter()
+        with pytest.raises(RecursionBudgetExceeded):
+            j_invariant(b)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_j_strand_budget():

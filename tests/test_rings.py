@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import cmath
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,8 +19,10 @@ from cycloquant.rings import (
     NotAUnitError,
     OrderMismatchError,
     cyclotomic_poly,
+    euler_phi,
     ideal_membership_cyclo,
     invert,
+    is_prime,
     laurent_ideal_membership,
     parse_laurent,
     parse_ring_element,
@@ -140,11 +142,6 @@ def test_fraction_cross_multiplication_equality():
         assert x.num * y.den == y.num * x.den
 
 
-def test_order_mismatch_raises():
-    with pytest.raises(OrderMismatchError):
-        CycloElem.one(15) + CycloElem.one(9)
-
-
 # ---------------------------------------------------------------------------
 # galois conjugation
 
@@ -195,6 +192,17 @@ def test_invert_quantum_denominator():
 def test_invert_rejects_outside_primes():
     with pytest.raises(NotAUnitError):
         invert(CycloFraction.from_int(2, 15), allowed_primes={3, 5})
+
+
+def test_invert_big_denominator_is_fast():
+    # the allowed primes are divided out of the denominator, which is
+    # never factored: 1/(10^18 + 9) is refused at once
+    start = time.perf_counter()
+    with pytest.raises(NotAUnitError):
+        invert(CycloFraction.from_int(10**18 + 9, 15), allowed_primes={3, 5})
+    inv = invert(CycloFraction.from_int(3**40 * 5**7, 15), allowed_primes={3, 5})
+    assert inv == CycloFraction(CycloElem.one(15), 3**40 * 5**7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_invert_zero_raises():
@@ -260,20 +268,6 @@ def test_reduce_mod_p_is_ring_homomorphism():
             assert reduce_mod_p(x + y, p) == reduce_mod_p(x, p) + reduce_mod_p(y, p)
 
 
-def test_int_operand_matches_ring_product():
-    # an int operand scales the coefficients; it must equal the product
-    # with the constant ring element n
-    rng = random.Random(19)
-    p = 11
-    for k in (9, 15, 21):
-        x = reduce(_random_laurent(rng), k)
-        x_p = reduce_mod_p(x, p)
-        pad = (0,) * (len(x.coeffs) - 1)
-        for n in (-7, -1, 0, 1, 7, 22, -33):
-            assert x * n == n * x == x * CycloElem(k, (n,) + pad)
-            assert x_p * n == n * x_p == x_p * ModCycloElem(k, p, (n % p,) + pad)
-
-
 @given(
     data=st.data(),
     k=st.sampled_from([2, 3, 4, 6, 9, 12, 15, 21, 35]),
@@ -285,6 +279,75 @@ def test_reduce_mod_p_is_multiplicative_property(data, k, p):
     x = reduce(LaurentPoly(dict(enumerate(data.draw(coeffs)))), k)
     y = reduce(LaurentPoly(dict(enumerate(data.draw(coeffs)))), k)
     assert reduce_mod_p(x * y, p) == reduce_mod_p(x, p) * reduce_mod_p(y, p)
+
+
+# ---------------------------------------------------------------------------
+# the operators shared by the four ring element types
+
+# name -> (random element at order k, the integer n as an element of that ring)
+RINGS = {
+    "LaurentPoly": (
+        lambda rng, k: _random_laurent(rng),
+        lambda n, k: LaurentPoly({0: n}),
+    ),
+    "CycloElem": (
+        lambda rng, k: reduce(_random_laurent(rng), k),
+        lambda n, k: CycloElem(k, (n,) + (0,) * (euler_phi(k) - 1)),
+    ),
+    "CycloFraction": (
+        lambda rng, k: CycloFraction(reduce(_random_laurent(rng), k), rng.randint(1, 9)),
+        lambda n, k: CycloFraction(CycloElem(k, (n,) + (0,) * (euler_phi(k) - 1))),
+    ),
+    "ModCycloElem": (
+        lambda rng, k: reduce_mod_p(reduce(_random_laurent(rng), k), 11),
+        lambda n, k: ModCycloElem(k, 11, (n % 11,) + (0,) * (euler_phi(k) - 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_ring_operators(ring):
+    # an int operand acts as the constant element n, on either side; for
+    # CycloElem and ModCycloElem x * n scales the coefficients, which must
+    # equal the ring product with that constant
+    make, const = RINGS[ring]
+    rng = random.Random(19)
+    for k in (9, 15, 21):
+        x, y = make(rng, k), make(rng, k)
+        assert (x - y) + y == x
+        assert x - x == const(0, k)
+        for n in (-7, -1, 0, 1, 7, 22, -33):
+            c = const(n, k)
+            assert (n - x) + x == c
+            assert (x - n) + c == x
+            assert n + x == x + n == x + c
+            assert n * x == x * n == x * c
+        assert x**0 == const(1, k)
+        assert x**1 == x
+        assert x**3 == x * x * x
+        assert x**6 == (x * x * x) * (x * x * x)
+        if ring == "CycloFraction":
+            assert x**-2 * x**2 == 1
+            assert x**-1 == invert(x)
+        else:
+            with pytest.raises(ValueError):
+                x**-1
+
+
+@pytest.mark.parametrize("ring", ["CycloElem", "CycloFraction", "ModCycloElem"])
+def test_mixed_orders_raise(ring):
+    make, _ = RINGS[ring]
+    rng = random.Random(23)
+    x, y = make(rng, 15), make(rng, 9)
+    for op in (lambda: x + y, lambda: x - y, lambda: y - x, lambda: x * y, lambda: y * x):
+        with pytest.raises(OrderMismatchError):
+            op()
+
+
+def test_mod_p_elements_of_different_primes_do_not_mix():
+    x = reduce(_random_laurent(random.Random(29)), 15)
+    with pytest.raises(OrderMismatchError):
+        reduce_mod_p(x, 7) + reduce_mod_p(x, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +465,28 @@ def test_parse_rejects_garbage():
     for bad in ("", "A +", "B^2", "1 ++ A"):
         with pytest.raises(ValueError):
             parse_laurent(bad)
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(10**5) if is_prime(n)] == list(sympy.primerange(10**5))
+    rng = random.Random(64)
+    samples = [rng.getrandbits(64) | 1 for _ in range(3000)]
+    samples += [sympy.nextprime(rng.getrandbits(64)) for _ in range(200)]
+    # strong pseudoprimes to the first 7, 9 and 12 prime bases
+    samples += [341550071728321, 3825123056546413051, 318665857834031151167461]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    assert is_prime(2**61 - 1)  # a Mersenne prime, answered at once
+    assert not is_prime(3_317_044_064_679_887_385_961_981 - 2)
+    with pytest.raises(ValueError):
+        is_prime(3_317_044_064_679_887_385_961_981)  # a strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
