@@ -37,6 +37,13 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json_list(x: object, what: str) -> list:
+    """x itself when it is a JSON array; ValueError for a number, string or object."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # braid words and framed links
 
@@ -120,13 +127,13 @@ class FramedBraidLink:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FramedBraidLink":
         try:
-            braid = BraidWord(data["strands"], tuple(data["word"]))
+            braid = BraidWord(data["strands"], tuple(_json_list(data["word"], "word")))
         except KeyError as exc:
             raise ValueError(f"braid JSON is missing key {exc}") from exc
         framings = data.get("framings")
         if framings is None:
-            framings = (0,) * len(closure_components(braid))
-        return cls(braid, tuple(framings))
+            framings = [0] * len(closure_components(braid))
+        return cls(braid, tuple(_json_list(framings, "framings")))
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +174,8 @@ class LinkingMatrix:
     def from_dict(cls, data: Mapping) -> "LinkingMatrix":
         if "matrix" not in data:
             raise ValueError('matrix JSON is missing key "matrix"')
-        return cls.from_rows(data["matrix"])
+        rows = _json_list(data["matrix"], "matrix")
+        return cls.from_rows(_json_list(row, "matrix row") for row in rows)
 
     def to_dict(self) -> dict:
         return {"matrix": [list(row) for row in self.entries]}
@@ -604,7 +612,6 @@ def strong_periodicity_check(
     if p < 2:
         raise ValueError("periodicity order must be >= 2")
     quotient_comps = closure_components(b)
-    framings = tuple(int(f) for f in framings)
     if len(framings) != len(quotient_comps):
         raise ValueError("framing vector length must match quotient components")
     q_comp_of = _component_of(quotient_comps)

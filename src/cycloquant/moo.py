@@ -6,10 +6,10 @@ Z_N depends on a surgery presentation only through its linking matrix B:
 
 where bracket(B) is the exponential sum of the quadratic form l -> l^T B l
 over (Z/N)^m, G_N is the quadratic Gauss sum of length N, and
-(sigma_plus, sigma_minus, b1) is the exact inertia of B. For odd N the
-inverse of G_N is conj(G_N)/N, so everything stays inside the
-cyclotomic quotient with only powers of N in denominators. The half
-power of N contributed by b1 is carried symbolically.
+(sigma_plus, sigma_minus, b1) is the exact inertia of B. For odd N,
+conj(G_N) = chi G_N and G_N^2 = chi N with chi = (-1/N) (Ireland and
+Rosen, ch. 6), so with rank r the G_N factors are a sign, G_N^(r mod 2)
+and N^-ceil(r/2). The half power of N from b1 is carried symbolically.
 
 bracket_sum enumerates all N^m vectors and is the semantic definition,
 kept as the test oracle. moo_fast diagonalizes the form over each
@@ -49,12 +49,9 @@ class MooValue:
         if self.half_power < 0:
             raise ValueError("half_power must be nonnegative")
         value, s = self.value, self.half_power
-        n = value.order
-        while s >= 2:
-            value = CycloFraction(value.num, value.den * n)
-            s -= 2
+        value = CycloFraction(value.num, value.den * value.order ** (s // 2))
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "half_power", s)
+        object.__setattr__(self, "half_power", s % 2)
 
     @property
     def order(self) -> int:
@@ -76,6 +73,9 @@ class MooValue:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, (MooValue, CycloFraction, CycloElem)):
+            if other.order != self.order:
+                return False  # as for the ring elements; arithmetic still raises
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -135,12 +135,12 @@ def bracket_sum(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> Cycl
 
 def _assemble(bracket: CycloElem, matrix: LinkingMatrix, n: int) -> MooValue:
     sig = signature_counts(matrix)
-    g = gauss_sum(1, n, n)
-    g_conj = g.galois(-1)
-    num = bracket * g_conj**sig.sigma_plus * g**sig.sigma_minus
-    den = n ** (sig.sigma_plus + sig.sigma_minus)
-    value = CycloFraction(num, den * n ** (sig.nullity // 2))
-    return MooValue(value, sig.nullity % 2)
+    r = sig.sigma_plus + sig.sigma_minus
+    # conj(G_N) = chi G_N and G_N^2 = chi N with chi = (-1/N), so
+    # conj(G_N)^s+ G_N^s- / N^r = chi^(s+ + r//2) G_N^(r mod 2) / N^ceil(r/2)
+    num = bracket * gauss_sum(1, n, n) if r % 2 else bracket
+    num = num * (-1 if n % 4 == 3 else 1) ** (sig.sigma_plus + r // 2)
+    return MooValue(CycloFraction(num, n ** ((r + 1) // 2)), sig.nullity)
 
 
 def moo_invariant(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValue:

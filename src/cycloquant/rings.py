@@ -93,18 +93,25 @@ def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int, p: int = 0) -> tupl
 
 @functools.cache
 def _phi_dense(k: int) -> tuple[int, ...]:
-    """Dense coefficients of Phi_k, computed by exact division of A^k - 1."""
+    """Dense coefficients of Phi_k, from Phi_1 = A - 1 one prime p of k at a time.
+
+    Phi_mp(A) = Phi_m(A^p) / Phi_m(A), an exact division by a monic divisor,
+    when p does not divide m, and Phi_mp(A) = Phi_m(A^p) when p | m (Arnold
+    and Monagan, Math. Comp. 2011). The divisions come first, at rad(k).
+    """
     if k < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {k}")
-    if k == 1:
-        return (-1, 1)
-    num: Sequence[int] = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            num, rem = _divmod(num, _phi_dense(d))
-            if rem:
-                raise AssertionError(f"Phi_{d} does not divide A^{k} - 1")
-    return tuple(num)
+    phi, m = [-1, 1], 1
+    for p in sorted(prime_factors(k)):  # p does not divide m
+        stretched = [0] * ((len(phi) - 1) * p + 1)
+        stretched[::p] = phi
+        phi, rem = _divmod(stretched, phi)
+        if rem:
+            raise ArithmeticError(f"Phi_{m} does not divide Phi_{m}(A^{p})")
+        m *= p
+    out = [0] * ((len(phi) - 1) * (k // m) + 1)  # every prime of k / m divides m
+    out[:: k // m] = phi
+    return tuple(out)
 
 
 def euler_phi(k: int) -> int:
@@ -148,15 +155,14 @@ class _RingOps:
         return self.__mul__(other)
 
     def __pow__(self: _R, n: int) -> _R:
-        """self**n by square-and-multiply, n >= 0."""
+        """self**n, n >= 0, in bit_length(n) - 1 squarings and popcount(n) - 1 products."""
         if n < 0:
             raise ValueError(f"negative power of a {type(self).__name__}; use CycloFraction")
-        result, base = self._coerced(1), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = self if n else self._coerced(1)
+        for bit in bin(n)[3:]:  # the bits after the leading one, high to low
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
 
@@ -201,9 +207,6 @@ class LaurentPoly(_RingOps):
         if not self._terms:
             raise ValueError("zero polynomial has no maximal exponent")
         return max(self._terms)
-
-    def content(self) -> int:
-        return math.gcd(*self._terms.values()) if self._terms else 0
 
     def _coerced(self, other: object) -> LaurentPoly | None:
         if isinstance(other, LaurentPoly):
@@ -466,6 +469,8 @@ class CycloFraction(_RingOps):
         return self.num.to_complex(which_root) / self.den
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, (CycloFraction, CycloElem)) and other.order != self.order:
+            return False  # as for CycloElem; arithmetic across orders still raises
         o = self._coerced(other)
         if o is None:
             return NotImplemented

@@ -6,7 +6,11 @@ printed ring element must reparse to an equal value.
 """
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -55,6 +59,23 @@ def test_phi_small_orders(capsys):
     code, out, _ = run_cli(capsys, "phi", "2")
     assert code == 0
     assert out == "1 + A\n"
+
+
+def test_phi_30030_answers_cold():
+    # a fresh process, so Phi_30030 is built from nothing within the bound
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cycloquant", "phi", "30030"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert time.perf_counter() - start < 2.0
+    assert result.returncode == 0, result.stderr
+    assert parse_laurent(result.stdout).max_exp == 5760
 
 
 def test_reduce_round_trip(capsys):
@@ -371,6 +392,28 @@ def test_non_integer_json_exits_2(capsys, tmp_path, command, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "integer" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("jinv", {"strands": 2, "word": 5}),
+        ("jinv", {"strands": 2, "word": [1], "framings": 3}),
+        ("lkmatrix", {"strands": 2, "word": [1], "framings": 3}),
+        ("moo", {"matrix": [1]}),
+        ("moo", {"matrix": 7}),
+    ],
+    ids=["int-word", "int-framings", "lkmatrix-int-framings", "int-row", "int-matrix"],
+)
+def test_non_list_json_exits_2(capsys, tmp_path, command, payload):
+    # a number where a JSON array belongs is refused, not a TypeError traceback
+    path = write_json(tmp_path, "bad.json", payload)
+    flag = "--matrix" if command == "moo" else "--braid"
+    extra = ("--n", "5") if command == "moo" else ()
+    code, out, err = run_cli(capsys, command, flag, path, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be a list" in err
 
 
 def test_check_cor12_large_prime_is_fast(capsys):

@@ -470,3 +470,7 @@ def test_strong_periodicity_validation():
         strong_periodicity_check(BraidWord(2, (1,)), 1, (0,))
     with pytest.raises(ValueError):
         strong_periodicity_check(BraidWord(2, (1,)), 2, (0, 0))
+    # a framing is an integer; 0.7 and True are refused, not cast to 0 and 1
+    for framing in (0.7, True):
+        with pytest.raises(ValueError, match="integers"):
+            strong_periodicity_check(BraidWord(2, (1,)), 3, [framing])

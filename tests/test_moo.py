@@ -10,9 +10,9 @@ import time
 import pytest
 
 from cycloquant.gauss import gauss_sum
-from cycloquant.links import LinkingMatrix, signature_counts
-from cycloquant.moo import MooValue, bracket_sum, moo_fast, moo_invariant
-from cycloquant.rings import CycloElem, CycloFraction
+from cycloquant.links import LinkingMatrix, SigTriple, signature_counts
+from cycloquant.moo import MooValue, _assemble, bracket_sum, moo_fast, moo_invariant
+from cycloquant.rings import CycloElem, CycloFraction, LaurentPoly, OrderMismatchError, reduce
 
 ODD_LEVELS = (3, 5, 7, 9, 15)
 
@@ -62,6 +62,16 @@ def test_moo_value_multiplication_folds():
     assert root * root == MooValue(CycloFraction(CycloElem.one(5) * 5), 0)
 
 
+def test_moo_value_equality_across_orders():
+    # == across orders is False, as for the ring elements; * still raises
+    v, w = moo_invariant([[0]], 5), moo_invariant([[0]], 3)
+    for other in (w, w.value, w.value.num):
+        assert not v == other and not other == v
+        assert v != other and other != v
+    with pytest.raises(OrderMismatchError):
+        v * w
+
+
 # ---------------------------------------------------------------------------
 # the defining sum
 
@@ -101,6 +111,55 @@ def test_moo_lens_space_value():
     bracket = sum(w ** ((2 * l * l) % 3) for l in range(3))
     g = sum(w ** (k * k % 3) for k in range(3))
     assert abs(got.to_complex() - bracket / g) < 1e-9
+
+
+def _long_normalisation(bracket: CycloElem, b: LinkingMatrix, n: int) -> MooValue:
+    # the normalisation as defined: bracket conj(G_N)^s+ G_N^s- / N^r, then N^(-b1/2)
+    sig = signature_counts(b)
+    g = gauss_sum(1, n, n)
+    num = bracket * g.galois(-1) ** sig.sigma_plus * g**sig.sigma_minus
+    return MooValue(CycloFraction(num, n ** (sig.sigma_plus + sig.sigma_minus)), sig.nullity)
+
+
+def test_assemble_matches_long_normalisation(monkeypatch):
+    # _assemble is linear in the bracket, so a random element stands in for it;
+    # each form has a random inertia of rank 0-6 and nullity 0-2, hidden by a
+    # unimodular congruence, at N = 1 and 3 mod 4 and with repeated primes
+    rng = random.Random(257)
+    cases = []
+    for n in (3, 5, 7, 9, 15, 21, 25, 27, 45, 63, 75, 81, 105, 225, 315):
+        for r in range(7):
+            for nullity in range(3):
+                s_plus = rng.randint(0, r)
+                diag = [rng.randint(1, 4) for _ in range(s_plus)]
+                diag += [-rng.randint(1, 4) for _ in range(r - s_plus)] + [0] * nullity
+                rng.shuffle(diag)
+                m = len(diag)
+                d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
+                b = LinkingMatrix.from_rows(_congruent(d, _random_unimodular(rng, m)))
+                assert signature_counts(b) == SigTriple(s_plus, r - s_plus, nullity)
+                terms = [(rng.randrange(n), rng.randint(-9, 9)) for _ in range(5)]
+                bracket = reduce(LaurentPoly(terms), n)
+                cases.append((bracket, b, n, _long_normalisation(bracket, b, n)))
+
+    def forbidden(*args):
+        raise AssertionError("_assemble takes no Galois conjugate and no power")
+
+    products = []
+    mul = CycloElem.__mul__
+
+    def counted(self, other):
+        if isinstance(other, CycloElem):
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloElem, "galois", forbidden)
+    monkeypatch.setattr(CycloElem, "__pow__", forbidden)
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    for bracket, b, n, want in cases:
+        products.clear()
+        assert _assemble(bracket, b, n) == want, (b.rows(), n)
+        assert len(products) <= 1
 
 
 def test_moo_validation():

@@ -29,6 +29,7 @@ from cycloquant.rings import (
     reduce,
     reduce_mod_p,
 )
+from cycloquant.rings import _phi_dense
 
 A = LaurentPoly.monomial(1)
 
@@ -60,11 +61,21 @@ def test_phi_15_golden_string():
 def test_phi_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for k in list(range(1, 61)) + [69, 105, 231]:
+    for k in list(range(1, 301)) + [1001, 4620, 9009]:
         want = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
         phi = cyclotomic_poly(k)
         assert [phi.coeff(e) for e in range(len(want))] == want, k
         assert phi.max_exp == len(want) - 1, k
+
+
+def test_phi_30030_is_fast():
+    # _phi_dense does not call itself, so __wrapped__ builds Phi_30030 cold
+    start = time.perf_counter()
+    phi = _phi_dense.__wrapped__(30030)
+    assert time.perf_counter() - start < 1.0
+    assert len(phi) - 1 == 5760
+    # Phi_2m(A) = Phi_m(-A) for odd m > 1
+    assert phi == tuple(c if i % 2 == 0 else -c for i, c in enumerate(_phi_dense(15015)))
 
 
 def test_phi_product_is_a_k_minus_1():
@@ -334,14 +345,38 @@ def test_ring_operators(ring):
                 x**-1
 
 
+def test_pow_product_count(monkeypatch):
+    # x**n costs bit_length(n) - 1 squarings and popcount(n) - 1 products
+    calls = []
+    mul = CycloElem.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    x = reduce(_random_laurent(random.Random(17)), 15)
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    for n in range(9):
+        calls.clear()
+        _ = x**n
+        want = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+        assert len(calls) == want, n
+
+
 @pytest.mark.parametrize("ring", ["CycloElem", "CycloFraction", "ModCycloElem"])
 def test_mixed_orders_raise(ring):
-    make, _ = RINGS[ring]
+    # arithmetic across orders raises; equality across orders is False
+    make, const = RINGS[ring]
     rng = random.Random(23)
     x, y = make(rng, 15), make(rng, 9)
     for op in (lambda: x + y, lambda: x - y, lambda: y - x, lambda: x * y, lambda: y * x):
         with pytest.raises(OrderMismatchError):
             op()
+    others = [y, y.num] if ring == "CycloFraction" else [y]
+    for other in others:
+        assert not x == other and not other == x
+        assert x != other and other != x
+    assert const(1, 15) != const(1, 9)
 
 
 def test_mod_p_elements_of_different_primes_do_not_mix():
