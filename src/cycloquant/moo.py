@@ -82,6 +82,9 @@ class MooValue:
         return self.value == other.value and self.half_power == other.half_power
 
     def __hash__(self):
+        # equal to its value when half_power is 0, so hashed like it
+        if self.half_power == 0:
+            return hash(self.value)
         return hash((self.value, self.half_power))
 
     def galois(self, t: int) -> "MooValue":

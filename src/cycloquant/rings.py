@@ -15,6 +15,22 @@ Conventions used throughout:
 Canonical ASCII form used by __str__ and the parsers: terms in ascending
 exponent order with explicit signs, e.g. "1 - A + A^3 - A^4 + A^5 - A^7 + A^8",
 and fractions wrapped as "(...)/15".
+
+The dense kernel behind every product in a quotient has three steps:
+
+  * Multiply.  Each factor is packed into one integer, sum c_i 2^(8wi) with
+    w bytes per coefficient, and CPython multiplies the two (Kronecker
+    substitution); the product's coefficients are read back from its bytes.
+  * Fold.  A^k = 1 folds the product to degree < k.
+  * Divide.  The reversed quotient by Phi_k is the reversed dividend times
+    the reciprocal series of rev(Phi_k), one more packed product (Barrett).
+    That series has integer coefficients, as Phi_k is monic; it is built
+    from Phi_k's binomial (Moebius) factors and cached per order.
+
+Operands with few nonzero coefficients keep the schoolbook convolution and
+the long division, which skip zeros; one constant per step picks the path
+from the operands' sizes.  reduce folds and divides.  The remainder by Phi_k
+is unique, so every path gives the same representative.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import re
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -79,16 +96,77 @@ def _divmod(a: Sequence[int], b: Sequence[int], p: int = 0) -> tuple[list[int], 
     return _trim(quo), _trim(rem)
 
 
+# The packed-integer paths cost about this many of the Python loops' term
+# products per coefficient they pack; below that the loops are faster.
+_KRONECKER_WORK_RATIO = 8  # term products of the convolution, a * b
+_BARRETT_WORK_RATIO = 16  # term products of the long division by Phi_k
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of a * b, from one product of packed integers.
+
+    Each operand becomes sum c_i 2^(8wi) with w bytes per coefficient, wide
+    enough for every coefficient of a, b and the product (Kronecker
+    substitution; Harvey, JSC 2009), so CPython's Karatsuba does the
+    convolution. Adding a bias of 2^(8w-1) to every digit makes them all
+    nonnegative, so the product unpacks by slicing its bytes.
+    """
+    ba, bb = max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()
+    w = max(ba + bb + min(len(a), len(b)).bit_length(), ba, bb) // 8 + 1
+    bias = 1 << (8 * w - 1)
+
+    def ones(m: int) -> int:  # sum of 2^(8wi), i < m
+        return ((1 << (8 * w * m)) - 1) // ((1 << (8 * w)) - 1)
+
+    def pack(c: Sequence[int]) -> int:
+        raw = b"".join((x + bias).to_bytes(w, "little") for x in c)
+        return int.from_bytes(raw, "little") - bias * ones(len(c))
+
+    low = (pack(a) * pack(b) + bias * ones(n)) & ((1 << (8 * w * n)) - 1)
+    raw = low.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - bias for i in range(0, w * n, w)]
+
+
 def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int, p: int = 0) -> tuple[int, ...]:
     """Dense a * b mod Phi_k (over F_p when p > 0), padded to phi(k) coefficients."""
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
+    n = len(a) + len(b) - 1
+    b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
+    if (len(a) - a.count(0)) * len(b_terms) >= _KRONECKER_WORK_RATIO * (len(a) + len(b)):
+        conv = _kronecker(a, b, n)
+    else:
+        conv = [0] * n
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in b_terms:
                     conv[i + j] += ca * cb
-    _, rem = _divmod(conv, _phi_dense(k), p)
-    return tuple(rem) + (0,) * (euler_phi(k) - len(rem))
+    folded = conv[:k]  # A^k = 1, and Phi_k divides A^k - 1
+    for start in range(k, n, k):
+        chunk = conv[start : start + k]
+        folded[: len(chunk)] = [x + y for x, y in zip(folded, chunk)]
+    return _mod_phi(folded, k, p)
+
+
+def _mod_phi(f: list[int], k: int, p: int = 0) -> tuple[int, ...]:
+    """f mod Phi_k (over F_p when p > 0), deg f < k, padded to phi(k) coefficients.
+
+    A long quotient comes from the reciprocal series of Phi_k (Barrett; von
+    zur Gathen and Gerhard, Modern Computer Algebra, 9.1): its reversal is
+    rev(f) / rev(Phi_k) mod A^m. As Phi_k is monic, all of it stays over Z,
+    and over F_p the quotient and remainder are the images of those over Z.
+    """
+    phi = _phi_dense(k)
+    d = len(phi) - 1
+    f = _trim([c % p for c in f] if p else f)
+    m = len(f) - d  # the quotient's length
+    if m * (len(phi) - phi.count(0)) < _BARRETT_WORK_RATIO * (m + d):
+        rem = _divmod(f, phi, p)[1]
+    else:
+        quo = _kronecker(f[d:][::-1], _phi_reciprocal(k)[:m], m)[::-1]
+        if p:
+            quo = [c % p for c in quo]
+        rem = [x - y for x, y in zip(f, _kronecker(quo, phi[:d], d))]
+        rem = _trim([c % p for c in rem] if p else rem)
+    return tuple(rem) + (0,) * (d - len(rem))
 
 
 @functools.cache
@@ -114,6 +192,28 @@ def _phi_dense(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.cache
+def _phi_reciprocal(k: int) -> tuple[int, ...]:
+    """1 / rev(Phi_k) mod A^(k - phi(k)), k >= 2: an integer series, as Phi_k is monic.
+
+    rev(Phi_k) = Phi_k, the product over squarefree e | k of (1 - A^(k/e))^mu(e)
+    (Moebius), so the series is a product of 2^omega(k) binomials 1 - A^d and
+    geometric series 1/(1 - A^d), each one pass over it.
+    """
+    n = k - euler_phi(k)
+    out = [1] + [0] * (n - 1)
+    primes = sorted(prime_factors(k))
+    for r in range(len(primes) + 1):
+        for e in itertools.combinations(primes, r):
+            d = k // math.prod(e)
+            if r % 2:  # mu(e) = -1: times 1 - A^d
+                out[d:] = [x - y for x, y in zip(out[d:], out)]
+            else:  # mu(e) = 1: over 1 - A^d, a running sum with stride d
+                for i in range(d, n):
+                    out[i] += out[i - d]
+    return tuple(out)
+
+
 def euler_phi(k: int) -> int:
     return len(_phi_dense(k)) - 1
 
@@ -125,13 +225,19 @@ _R = TypeVar("_R", bound="_RingOps")
 
 
 class _RingOps:
-    """Reflected, difference and power operators of a ring element type.
+    """Reflected, difference, power and comparison operators of a ring element type.
 
     A subclass supplies _coerced (same-ring operand or int to an element,
-    None otherwise), __add__, __neg__ and __mul__ in its own body; the
-    rest follows from those. The unit is _coerced(1). Products go through
-    attribute lookup of __mul__, so a wrapper set on the class (as
+    None otherwise), _canonical, __add__, __neg__ and __mul__ in its own
+    body; the rest follows from those. The unit is _coerced(1). Products go
+    through attribute lookup of __mul__, so a wrapper set on the class (as
     perfbench/tracer.py does) sees every one of them.
+
+    Equality coerces as arithmetic does, so an int n equals the constant
+    element n (mod p, every n of its residue class). Elements of different
+    orders or moduli are unequal, though mixing them in arithmetic raises.
+    _canonical is the int for a constant element, so such an element hashes
+    like that int (mod p, like its representative in [0, p)).
     """
 
     __slots__ = ()
@@ -153,6 +259,18 @@ class _RingOps:
 
     def __rmul__(self: _R, other: object) -> _R:
         return self.__mul__(other)
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            o = self._coerced(other)
+        except OrderMismatchError:
+            return False
+        if o is None:
+            return NotImplemented
+        return self._canonical() == o._canonical()
+
+    def __hash__(self) -> int:
+        return hash(self._canonical())
 
     def __pow__(self: _R, n: int) -> _R:
         """self**n, n >= 0, in bit_length(n) - 1 squarings and popcount(n) - 1 products."""
@@ -250,14 +368,10 @@ class LaurentPoly(_RingOps):
     def evaluate(self, z: complex) -> complex:
         return sum(c * z**e for e, c in self._terms.items())
 
-    def __eq__(self, other: object) -> bool:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms())
+    def _canonical(self) -> int | tuple:
+        if self._terms.keys() <= {0}:
+            return self._terms.get(0, 0)
+        return self.terms()
 
     def __str__(self) -> str:
         if not self._terms:
@@ -293,7 +407,7 @@ def cyclotomic_poly(k: int) -> LaurentPoly:
 # the quotient Z[A^{+-1}]/(Phi_k)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CycloElem(_RingOps):
     """Canonical representative in Z[A^{+-1}]/(Phi_order), degree < phi(order)."""
 
@@ -333,6 +447,9 @@ class CycloElem(_RingOps):
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
+
+    def _canonical(self) -> int | tuple:
+        return self.coeffs[0] if not any(self.coeffs[1:]) else (self.order, self.coeffs)
 
     def __add__(self, other: object) -> CycloElem:
         o = self._coerced(other)
@@ -384,7 +501,7 @@ def reduce(poly: LaurentPoly, order: int) -> CycloElem:
     dense = [0] * order
     for e, c in poly.terms():
         dense[e % order] += c
-    return CycloElem(order, _mul_mod_phi(dense, (1,), order))
+    return CycloElem(order, _mod_phi(dense, order))
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +585,9 @@ class CycloFraction(_RingOps):
     def to_complex(self, which_root: int = 1) -> complex:
         return self.num.to_complex(which_root) / self.den
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (CycloFraction, CycloElem)) and other.order != self.order:
-            return False  # as for CycloElem; arithmetic across orders still raises
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    def _canonical(self) -> int | tuple:
+        num = self.num._canonical()
+        return num if self.den == 1 else (num, self.den)
 
     def __str__(self) -> str:
         if self.den == 1:
@@ -532,7 +642,7 @@ def invert(
 # mod-p quotients F_p[A]/(Phi_k mod p)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ModCycloElem(_RingOps):
     """Element of F_p[A]/(Phi_order mod p), coefficients in [0, p)."""
 
@@ -574,6 +684,11 @@ class ModCycloElem(_RingOps):
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
+
+    def _canonical(self) -> int | tuple:
+        if not any(self.coeffs[1:]):
+            return self.coeffs[0]
+        return (self.order, self.p, self.coeffs)
 
     def __add__(self, other: object) -> ModCycloElem:
         o = self._coerced(other)

@@ -199,6 +199,25 @@ def test_moo_fast_matches(capsys, tmp_path):
         assert (code, out) == (0, want)
 
 
+def test_moo_30031_answers_cold(tmp_path):
+    # a fresh process: Phi_30031 (degree 29464) and the 30031-term Gauss
+    # sum's reduction are built from nothing within the bound
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    matrix = write_json(tmp_path, "one.json", {"matrix": [[1]]})
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cycloquant", "moo", "--n", "30031", "--matrix", matrix],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert time.perf_counter() - start < 2.0
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1\n"
+
+
 def test_moo_half_integer_print(capsys, tmp_path):
     path = write_json(tmp_path, "zero.json", {"matrix": [[0]]})
     code, out, _ = run_cli(capsys, "moo", "--n", "5", "--matrix", path)

@@ -12,7 +12,15 @@ import pytest
 from cycloquant.gauss import gauss_sum
 from cycloquant.links import LinkingMatrix, SigTriple, signature_counts
 from cycloquant.moo import MooValue, _assemble, bracket_sum, moo_fast, moo_invariant
-from cycloquant.rings import CycloElem, CycloFraction, LaurentPoly, OrderMismatchError, reduce
+from cycloquant.rings import (
+    CycloElem,
+    CycloFraction,
+    LaurentPoly,
+    ModCycloElem,
+    OrderMismatchError,
+    _phi_dense,
+    reduce,
+)
 
 ODD_LEVELS = (3, 5, 7, 9, 15)
 
@@ -70,6 +78,39 @@ def test_moo_value_equality_across_orders():
         assert v != other and other != v
     with pytest.raises(OrderMismatchError):
         v * w
+
+
+def test_equal_values_hash_equal():
+    # an int equals the constant element, a fraction with den 1 its
+    # numerator, a MooValue with half_power 0 its value; equal means equal hash
+    f = CycloFraction(reduce(LaurentPoly({0: 1, 1: 2}), 5))
+    assert len({MooValue(f), f, f.num}) == 1
+    assert CycloElem.one(5) == 1 and ModCycloElem.one(5, 7) == 1
+    assert LaurentPoly({0: 1}) == 1 and hash(LaurentPoly({0: 1})) == hash(1)
+    pool: list = [-1, 0, 1, 2, 8, LaurentPoly(), LaurentPoly({0: 2}), LaurentPoly({0: 2, 3: 1})]
+    for n in (5, 7):
+        x = reduce(LaurentPoly({0: 2, 1: 1}), n)
+        pool += [CycloElem.zero(n), CycloElem.one(n), CycloElem.one(n) * 2, x]
+        pool += [CycloFraction.from_int(2, n), CycloFraction(x), CycloFraction(x, 3)]
+        pool += [MooValue(CycloFraction.from_int(2, n)), MooValue(CycloFraction(x)),
+                 MooValue(CycloFraction(x), 1)]
+    for p in (7, 11):
+        pool += [ModCycloElem.zero(5, p), ModCycloElem.one(5, p), ModCycloElem(5, p, (1, 1, 0, 0))]
+    equal_pairs = 0
+    for x in pool:
+        for y in pool:
+            if x != y:
+                continue
+            assert y == x, (x, y)
+            equal_pairs += x is not y
+            n, m = (x, y) if isinstance(x, int) else (y, x)
+            if isinstance(n, int) and isinstance(m, ModCycloElem) and not 0 <= n < m.p:
+                # mod p an int equals the constant of its whole residue
+                # class; only the representative in [0, p) hashes alike
+                assert (n, m) == (8, ModCycloElem.one(5, 7))
+                continue
+            assert hash(x) == hash(y), (x, y)
+    assert equal_pairs == 2 * 29  # the pool's 29 equal pairs, each both ways
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +303,16 @@ def test_moo_fast_fallback_blocks():
     value = moo_fast(anchor, 81)
     assert time.perf_counter() - start < 0.01
     assert str(value) == "9"
+
+
+def test_moo_fast_anchor_at_9009_is_fast():
+    # the 3x3 anchor with Phi_9009 warm; a kernel forced onto the schoolbook
+    # product and long division (about 5 s here) gives the same value
+    _phi_dense(9009)
+    start = time.perf_counter()
+    value = moo_fast([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 9009)
+    assert time.perf_counter() - start < 1.0
+    assert str(value) == "3"
 
 
 def test_moo_fast_residual_sweep():

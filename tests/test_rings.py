@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 import time
 from fractions import Fraction
@@ -29,7 +30,8 @@ from cycloquant.rings import (
     reduce,
     reduce_mod_p,
 )
-from cycloquant.rings import _phi_dense
+from cycloquant import rings
+from cycloquant.rings import _divmod, _phi_dense
 
 A = LaurentPoly.monomial(1)
 
@@ -290,6 +292,125 @@ def test_reduce_mod_p_is_multiplicative_property(data, k, p):
     x = reduce(LaurentPoly(dict(enumerate(data.draw(coeffs)))), k)
     y = reduce(LaurentPoly(dict(enumerate(data.draw(coeffs)))), k)
     assert reduce_mod_p(x * y, p) == reduce_mod_p(x, p) * reduce_mod_p(y, p)
+
+
+# ---------------------------------------------------------------------------
+# the packed product and the reciprocal division against a schoolbook oracle
+
+# both sides of the path cutoffs; Phi_1009 is all ones, Phi_1024 = A^512 + 1
+# and Phi_9009 = Phi_3003(A^3)
+ORACLE_ORDERS = (2, 15, 69, 105, 315, 1001, 1009, 1024, 3003, 9009)
+
+
+def _oracle_mod_phi(f: list[int], k: int, p: int = 0) -> tuple[int, ...]:
+    rem = _divmod(f, _phi_dense(k), p)[1]
+    return tuple(rem) + (0,) * (euler_phi(k) - len(rem))
+
+
+def _oracle_mul_mod_phi(a: list[int], b: list[int], k: int, p: int = 0) -> tuple[int, ...]:
+    conv = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                conv[i + j] += x * y
+    return _oracle_mod_phi(conv, k, p)
+
+
+def _operand(rng: random.Random, k: int, kind: str) -> list[int]:
+    """phi(k) coefficients: all zero, 5 nonzero, or up to 300 of size 99 or 10^30."""
+    d = euler_phi(k)
+    # past 720 coefficients the support stays low, so the oracle's quotient is short
+    span = d if d <= 720 else (d + 200) // 2
+    out = [0] * d
+    count = {"zero": 0, "sparse": min(5, span)}.get(kind, min(300, span))
+    bound = 10**30 if kind == "huge" else 99
+    for i in rng.sample(range(span), count):
+        out[i] = rng.randint(-bound, bound)
+    return out
+
+
+def _count_calls(monkeypatch, calls: collections.Counter, name: str) -> None:
+    real = getattr(rings, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rings, name, counted)
+
+
+def test_kernel_matches_schoolbook_oracle(monkeypatch):
+    calls: collections.Counter = collections.Counter()
+    _count_calls(monkeypatch, calls, "_kronecker")
+    _count_calls(monkeypatch, calls, "_phi_reciprocal")
+    paths = set()
+    for k in ORACLE_ORDERS:
+        rng = random.Random(k)
+        cases = [(0, "zero", "dense"), (0, "dense", "zero"), (0, "sparse", "dense"),
+                 (0, "dense", "dense"), (0, "huge", "huge"), (7, "dense", "dense"),
+                 (1_000_000_007, "huge", "huge")]
+        for p, kind_a, kind_b in cases:
+            a, b = _operand(rng, k, kind_a), _operand(rng, k, kind_b)
+            if p:
+                a, b = [c % p for c in a], [c % p for c in b]
+            before = calls.copy()
+            assert rings._mul_mod_phi(a, b, k, p) == _oracle_mul_mod_phi(a, b, k, p), (k, p)
+            divisions = calls["_phi_reciprocal"] - before["_phi_reciprocal"]
+            products = calls["_kronecker"] - before["_kronecker"] - 2 * divisions
+            paths.add("packed product" if products else "schoolbook product")
+            paths.add("reciprocal division" if divisions else "long division")
+        # exponents below phi(k) + 200 (all of them up to order 315), so the
+        # oracle's quotient stays short, and exponents that wrap around A^k = 1
+        top = min(k, euler_phi(k) + 200)
+        for n_terms, lo, hi, bound in ((top, 0, top, 10**30), (40, -3 * k, 3 * k, 9)):
+            poly = LaurentPoly([(rng.randrange(lo, hi), rng.randint(-bound, bound))
+                                for _ in range(n_terms)])
+            dense = [0] * k
+            for e, c in poly.terms():
+                dense[e % k] += c
+            assert reduce(poly, k).coeffs == _oracle_mod_phi(dense, k), k
+    assert paths == {"packed product", "schoolbook product",
+                     "reciprocal division", "long division"}
+
+
+def test_phi_reciprocal_inverts_rev_phi():
+    for k in list(range(2, 301)) + [1001, 1024, 3003, 4620, 9009, 30030]:
+        series = rings._phi_reciprocal(k)
+        n = k - euler_phi(k)
+        assert len(series) == n, k
+        rev_phi = _phi_dense(k)[::-1][:n]
+        assert rings._kronecker(rev_phi, series, n) == [1] + [0] * (n - 1), k
+
+
+def test_packed_width_covers_each_operand():
+    # the width covers each factor's own coefficients, not only the product
+    # bound, which a zero factor makes 0
+    big = 10**30
+    assert rings._kronecker([0, 0, 0], [big, -big, 1], 5) == [0] * 5
+    assert rings._kronecker([big, -big, 1], [0], 3) == [0] * 3
+    assert rings._kronecker([1], [big, -big], 2) == [big, -big]
+    assert rings._kronecker([-1, 1], [big, big], 3) == [-big, 0, big]
+    m = 2**64 - 1  # digits exactly 8 bytes wide
+    assert rings._kronecker([m] * 3, [-m] * 3, 3) == [-(m**2), -2 * m**2, -3 * m**2]
+
+
+@pytest.mark.parametrize("k", [1001, 3003])
+def test_reduce_of_k_terms_matches_sympy(k):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(k)
+    f = [rng.randint(-9, 9) for _ in range(k)]
+    got = sympy.Poly(reduce(LaurentPoly(dict(enumerate(f))), k).coeffs[::-1], x)
+    phi = sympy.cyclotomic_poly(k, x, polys=True)
+    want = sympy.Poly(f[::-1], x)
+    # f = q Phi_k + r with deg r < phi(k) makes r the remainder; the quotient
+    # of the long-division oracle is such a q
+    quotient = sympy.Poly(_divmod(f, _phi_dense(k))[0][::-1], x)
+    assert got.degree() < phi.degree()
+    assert quotient * phi + got == want
+    if k == 1001:  # sympy's own division takes seconds at 3003
+        assert sympy.rem(want, phi) == got
 
 
 # ---------------------------------------------------------------------------
