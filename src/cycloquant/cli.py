@@ -30,7 +30,6 @@ from .gauss import g_r, gauss_sum, quantum_int
 from .links import (
     FramedBraidLink,
     LinkingMatrix,
-    RecursionBudgetExceeded,
     j_invariant,
     linking_matrix,
     signature_counts,
@@ -40,6 +39,7 @@ from .rings import (
     DenominatorNotInvertibleError,
     NotAUnitError,
     OrderMismatchError,
+    RecursionBudgetExceeded,
     cyclotomic_poly,
     parse_laurent,
     parse_ring_element,

@@ -9,7 +9,6 @@ values are supplied as constants).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Iterable
 
@@ -21,6 +20,7 @@ from .rings import (
     CycloFraction,
     LaurentPoly,
     _divmod,
+    _Record,
     _require_prime,
     ideal_gcd_poly,
     laurent_ideal_membership,
@@ -40,17 +40,17 @@ LENS_SPACE_2_1_LEVEL_5 = CycloFraction(
 # verdicts
 
 
-@dataclasses.dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """Exponents substantiating a satisfied congruence: eps * A^s * G^alpha."""
 
+    __slots__ = ("epsilon", "s", "alpha")
     epsilon: int
     s: int
     alpha: int
 
 
-@dataclasses.dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(_Record):
+    __slots__ = ("satisfied", "witness", "context")
     satisfied: bool
     witness: Witness | None
     context: tuple[int, int]  # (r or N, p)

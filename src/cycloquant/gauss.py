@@ -8,17 +8,9 @@ powers show up in the periodicity congruences.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
-from .rings import (
-    CycloElem,
-    CycloFraction,
-    LaurentPoly,
-    invert,
-    prime_factors,
-    reduce,
-)
+from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, reduce
 
 # ---------------------------------------------------------------------------
 # quantum integers
@@ -78,13 +70,14 @@ def _require_level(r: int) -> None:
 def eta_plus(r: int) -> CycloFraction:
     """Normalization constant for positive-definite surgery presentations.
 
-    eta_plus = -A^-18 * S1 * S2 / (A^3 - A^-3), computed exactly; the
-    denominator is a unit once the primes dividing 3r are inverted.
+    eta_plus = -A^-18 * S1 * S2 / (A^3 - A^-3), computed exactly. With
+    zeta = A^6, a primitive r-th root of unity, A^3 - A^-3 = A^-3 (zeta - 1)
+    and (zeta - 1) * sum of j zeta^j over j < r is r, so the inverse is
+    (1/r) * sum of j A^(6j + 3) over 0 < j < r: one reduce, no norm.
     """
     _require_level(r)
     k = 3 * r
-    quantum_two = reduce(LaurentPoly({3: 1, -3: -1}), k)
-    u = invert(CycloFraction(quantum_two), allowed_primes=prime_factors(k))
+    u = CycloFraction(reduce(LaurentPoly({6 * j + 3: j for j in range(1, r)}), k), r)
     lead = CycloFraction(CycloElem.a_power(k, (-18) % k))
     return -lead * s1(r) * s2(r) * u
 
@@ -99,14 +92,14 @@ def eta_minus(r: int) -> CycloFraction:
 # the ratio G_r
 
 
-@dataclasses.dataclass(frozen=True)
-class GrResult:
+class GrResult(_Record):
     """G_r together with the sign relating its two defining expressions.
 
     value    -- A^-36 * S1^2 * S2^2 / (3 r^2)
     epsilon  -- the sign making value == epsilon * (eta_plus / eta_minus)
     """
 
+    __slots__ = ("value", "epsilon")
     value: CycloFraction
     epsilon: int
 

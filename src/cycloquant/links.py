@@ -20,16 +20,11 @@ j_invariant against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .rings import LaurentPoly
-
-
-class RecursionBudgetExceeded(RuntimeError):
-    """Raised when a J evaluation outgrows its budget."""
+from .rings import LaurentPoly, RecursionBudgetExceeded, _Record
 
 
 def _is_int(x: object) -> bool:
@@ -48,8 +43,7 @@ def _json_list(x: object, what: str) -> list:
 # braid words and framed links
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A word in the braid group on `strands` strands.
 
     Letters are nonzero integers g with |g| < strands; g > 0 is the
@@ -57,11 +51,11 @@ class BraidWord:
     g < 0 its inverse.
     """
 
-    strands: int
-    word: tuple[int, ...] = ()
+    __slots__ = ("strands", "word")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "word", tuple(self.word))
+    def __init__(self, strands: int, word: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", tuple(word))
         if not _is_int(self.strands) or self.strands < 1:
             raise ValueError(f"strand count must be a positive integer, got {self.strands!r}")
         for g in self.word:
@@ -106,15 +100,14 @@ def _component_of(comps: Iterable[Sequence[int]]) -> dict[int, int]:
     return {s: idx for idx, cycle in enumerate(comps) for s in cycle}
 
 
-@dataclasses.dataclass(frozen=True)
-class FramedBraidLink:
+class FramedBraidLink(_Record):
     """A braid closure with one integer framing per component."""
 
-    braid: BraidWord
-    framings: tuple[int, ...] = ()
+    __slots__ = ("braid", "framings")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "framings", tuple(self.framings))
+    def __init__(self, braid: BraidWord, framings: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "framings", tuple(framings))
         if not all(_is_int(f) for f in self.framings):
             raise ValueError(f"framings must be integers, got {list(self.framings)}")
         n_comps = len(closure_components(self.braid))
@@ -147,14 +140,13 @@ class FramedBraidLink:
 # linking matrices
 
 
-@dataclasses.dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(_Record):
     """A symmetric integer matrix (framings on the diagonal)."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
         m = len(self.entries)
         for row in self.entries:
             if len(row) != m:
@@ -229,8 +221,8 @@ def linking_matrix(link: FramedBraidLink) -> LinkingMatrix:
 # exact signature
 
 
-@dataclasses.dataclass(frozen=True)
-class SigTriple:
+class SigTriple(_Record):
+    __slots__ = ("sigma_plus", "sigma_minus", "nullity")
     sigma_plus: int
     sigma_minus: int
     nullity: int
@@ -591,8 +583,8 @@ def lift_component_rotation(b: BraidWord, p: int) -> tuple[int, ...]:
     return tuple(comp_of[perm[cycle[0]]] for cycle in comps)
 
 
-@dataclasses.dataclass(frozen=True)
-class StrongPeriodicityResult:
+class StrongPeriodicityResult(_Record):
+    __slots__ = ("satisfied", "lift")
     satisfied: bool
     lift: FramedBraidLink
 

@@ -22,19 +22,17 @@ lower power and no path enumerates vectors.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable
 
 from .gauss import gauss_sum
 from .links import LinkingMatrix, _symmetric_eliminate, signature_counts
-from .rings import CycloElem, CycloFraction, LaurentPoly, prime_factors, reduce
+from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, prime_factors, reduce
 
 # ---------------------------------------------------------------------------
 # the value type
 
 
-@dataclasses.dataclass(frozen=True)
-class MooValue:
+class MooValue(_Record):
     """An exact invariant value: `value * N^(-half_power/2)`.
 
     Even powers of sqrt(N) are folded into the fraction, so half_power
@@ -42,10 +40,11 @@ class MooValue:
     coming from a linking matrix with nullity b1.
     """
 
-    value: CycloFraction
-    half_power: int = 0
+    __slots__ = ("value", "half_power")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: CycloFraction, half_power: int = 0) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "half_power", half_power)
         if self.half_power < 0:
             raise ValueError("half_power must be nonnegative")
         value, s = self.value, self.half_power

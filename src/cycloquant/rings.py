@@ -36,7 +36,6 @@ is unique, so every path gives the same representative.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
@@ -54,6 +53,10 @@ class NotAUnitError(ArithmeticError):
 
 class DenominatorNotInvertibleError(ArithmeticError):
     """Raised when a denominator vanishes mod p, so no mod-p reduction exists."""
+
+
+class RecursionBudgetExceeded(RuntimeError):
+    """Raised when an input outgrows a work budget: a ring of degree phi(k), a J."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,9 @@ def _mod_phi(f: list[int], k: int, p: int = 0) -> tuple[int, ...]:
     return tuple(rem) + (0,) * (d - len(rem))
 
 
+_PHI_BUDGET = 1 << 15  # the ring-size budget on phi(k); phi(30031) = 29464 is within it
+
+
 @functools.cache
 def _phi_dense(k: int) -> tuple[int, ...]:
     """Dense coefficients of Phi_k, from Phi_1 = A - 1 one prime p of k at a time.
@@ -176,11 +182,18 @@ def _phi_dense(k: int) -> tuple[int, ...]:
     Phi_mp(A) = Phi_m(A^p) / Phi_m(A), an exact division by a monic divisor,
     when p does not divide m, and Phi_mp(A) = Phi_m(A^p) when p | m (Arnold
     and Monagan, Math. Comp. 2011). The divisions come first, at rad(k).
+    A degree phi(k) over _PHI_BUDGET raises RecursionBudgetExceeded.
     """
     if k < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {k}")
+    if k > 2 * _PHI_BUDGET**2:  # phi(k) >= sqrt(k/2), so no need to factor k
+        raise RecursionBudgetExceeded(f"order {k} is past the budget phi(k) <= {_PHI_BUDGET}")
+    primes = sorted(prime_factors(k))
+    degree = k // math.prod(primes) * math.prod(p - 1 for p in primes)
+    if degree > _PHI_BUDGET:
+        raise RecursionBudgetExceeded(f"Phi_{k} has degree {degree}, budget is {_PHI_BUDGET}")
     phi, m = [-1, 1], 1
-    for p in sorted(prime_factors(k)):  # p does not divide m
+    for p in primes:  # p does not divide m
         stretched = [0] * ((len(phi) - 1) * p + 1)
         stretched[::p] = phi
         phi, rem = _divmod(stretched, phi)
@@ -282,6 +295,47 @@ class _RingOps:
             if bit == "1":
                 result = result * self
         return result
+
+
+class _Record:
+    """An immutable record whose fields are the names in its class's __slots__.
+
+    Equality is field-wise within one type, and hash, repr and pickling
+    follow the fields. Fields are set once, with object.__setattr__; the
+    generic __init__ takes them positionally.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()  # __setattr__ refuses the default restore
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +461,14 @@ def cyclotomic_poly(k: int) -> LaurentPoly:
 # the quotient Z[A^{+-1}]/(Phi_k)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class CycloElem(_RingOps):
+class CycloElem(_RingOps, _Record):
     """Canonical representative in Z[A^{+-1}]/(Phi_order), degree < phi(order)."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if len(self.coeffs) != euler_phi(self.order):
@@ -498,6 +552,7 @@ def reduce(poly: LaurentPoly, order: int) -> CycloElem:
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
+    _phi_dense(order)  # the ring-size budget, before the fold allocates order terms
     dense = [0] * order
     for e, c in poly.terms():
         dense[e % order] += c
@@ -642,15 +697,15 @@ def invert(
 # mod-p quotients F_p[A]/(Phi_k mod p)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ModCycloElem(_RingOps):
+class ModCycloElem(_RingOps, _Record):
     """Element of F_p[A]/(Phi_order mod p), coefficients in [0, p)."""
 
-    order: int
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "p", "coeffs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, p: int, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
         if self.p < 2:
             raise ValueError(f"modulus must be >= 2, got {self.p}")
         if len(self.coeffs) != euler_phi(self.order):

@@ -456,6 +456,41 @@ def test_check_cor12_prime_beyond_exact_range_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "510510"),
+        ("reduce", "--order", str(10**12), "--poly", "A"),
+        ("qint", "3", "--order", "510510"),
+        ("gr", "--r", "170171"),
+        ("check-cor12", "--v", "1", "--r", "170171", "--p", "340343"),
+        ("moo", "--n", "510511", "--matrix", "one.json"),
+    ],
+    ids=["phi-510510", "reduce-10^12", "qint-510510", "gr-170171", "cor12-170171", "moo-510511"],
+)
+def test_ring_over_budget_exits_2_fast(capsys, tmp_path, argv):
+    # phi(k) <= 2^15 is the ring-size budget; Phi_510510 (degree 92160)
+    # once took 35-75 s, and a larger order is refused without factoring
+    argv = [write_json(tmp_path, a, {"matrix": [[1]]}) if a == "one.json" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_gr_301_is_fast(capsys):
+    # eta_plus inverts A^3 - A^-3 in closed form, not by the Galois norm's
+    # 503 products at order 903 (1.5-2 s)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "gr", "--r", "301")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.endswith("\nepsilon = -1\n")
+    value = parse_ring_element(out.splitlines()[0].split(" = ", 1)[1], 903)
+    assert value == -parse_ring_element("A^-36", 903)
+
+
 def test_braid_missing_strands_exits_2(capsys, tmp_path):
     path = write_json(tmp_path, "bad.json", {"word": [1]})
     code, _, err = run_cli(capsys, "jinv", "--braid", str(path))

@@ -97,6 +97,17 @@ def test_eta_product_identity():
         assert eta_plus(r) * eta_minus(r) == rhs
 
 
+@pytest.mark.parametrize("r", range(5, 62, 2))
+def test_eta_plus_matches_the_norm_inverse(r):
+    # eta_plus inverts A^3 - A^-3 in closed form; invert, by the Galois
+    # norm, is the oracle
+    k = 3 * r
+    quantum_two = CycloFraction(reduce(LaurentPoly({3: 1, -3: -1}), k))
+    u = invert(quantum_two, allowed_primes=prime_factors(k))
+    lead = CycloFraction(CycloElem.a_power(k, (-18) % k))
+    assert eta_plus(r) == -lead * s1(r) * s2(r) * u
+
+
 def test_eta_magnitude_float_oracle():
     # |eta_plus|^2 should be 3 r^2 / |A^3 - A^-3|^2 at the primitive root
     for r in (5, 7):

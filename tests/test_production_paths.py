@@ -6,7 +6,10 @@ command line and the obstruction tests must not reach them.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +38,41 @@ def _names(tree: ast.AST) -> set[str]:
 def test_no_oracle_in_production_module(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert not _names(tree) & FORBIDDEN[module]
+
+
+# Cold start: every CLI command is a fresh process, and dataclasses (with
+# the inspect module it loads) and the methods it generates by exec cost
+# more than the rest of the package's import
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_dataclasses_import(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The SLOW_IMPORTS loaded by a fresh interpreter that runs code."""
+    probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return set(result.stdout.split()) & SLOW_IMPORTS
+
+
+def test_cli_import_loads_no_dataclasses():
+    # measured against a bare interpreter, whose site hooks vary by machine
+    assert _loaded_after("import cycloquant.cli") <= _loaded_after("pass")

@@ -80,6 +80,25 @@ def test_phi_30030_is_fast():
     assert phi == tuple(c if i % 2 == 0 else -c for i, c in enumerate(_phi_dense(15015)))
 
 
+def test_ring_size_budget():
+    # phi(k) <= 2^15 passes, one more fails; k > 2^31 fails unfactored,
+    # since phi(k) >= sqrt(k/2)
+    import cycloquant
+    from cycloquant import links
+
+    assert rings.RecursionBudgetExceeded is links.RecursionBudgetExceeded
+    assert rings.RecursionBudgetExceeded is cycloquant.RecursionBudgetExceeded
+    assert rings._PHI_BUDGET == 2**15
+    assert euler_phi(32749) == 32748  # the largest prime within it
+    for k in (32771, 510510, 2 * 2**30, 2**31 + 11, 10**40):
+        start = time.perf_counter()
+        with pytest.raises(rings.RecursionBudgetExceeded, match="budget"):
+            _phi_dense(k)
+        with pytest.raises(rings.RecursionBudgetExceeded):
+            reduce(A, k)  # refused before the fold allocates k terms
+        assert time.perf_counter() - start < 1.0, k
+
+
 def test_phi_product_is_a_k_minus_1():
     for k in range(1, 61):
         prod = LaurentPoly.monomial(0)
