@@ -7,14 +7,16 @@ signature), the surgery invariant (moo), and the obstruction tests
 
 Exit codes: 0 when a check is consistent (or a plain computation
 succeeded), 1 when a check reports an obstruction, 2 on malformed
-input or violated preconditions. Output is deterministic: identical
-inputs produce identical bytes.
+input or violated preconditions, 141 (128 + SIGPIPE) when stdout is
+closed before the output is written, as by `| head`. Output is
+deterministic: identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .criteria import (
@@ -302,7 +304,14 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the unwritten rest to devnull, so the
+        # interpreter's final flush stays quiet, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 
-from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, reduce
+from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, euler_phi, reduce
 
 # ---------------------------------------------------------------------------
 # quantum integers
@@ -24,8 +24,17 @@ def quantum_int_laurent(n: int) -> LaurentPoly:
 
 
 def quantum_int(n: int, order: int) -> CycloElem:
-    """[n] reduced into the cyclotomic quotient of the given order."""
-    return reduce(quantum_int_laurent(n), order)
+    """[n] reduced into the cyclotomic quotient of the given order.
+
+    j and j + order give the same exponent mod order, so [n] folds to at
+    most order terms, the j-th with count n // order + (j < n % order).
+    """
+    if n < 0:
+        raise ValueError("quantum integer index must be nonnegative")
+    euler_phi(order)  # the ring-size budget, before any term is built
+    full, part = divmod(n, order)
+    terms = [(3 * (n - 1 - 2 * j), full + (j < part)) for j in range(min(n, order))]
+    return reduce(LaurentPoly(terms), order)
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +42,17 @@ def quantum_int(n: int, order: int) -> CycloElem:
 
 
 def gauss_sum(a: int, n: int, order: int) -> CycloElem:
-    """Sum of A^(a * j^2) for j = 0..n-1, in the quotient of the given order."""
+    """Sum of A^(a * j^2) for j = 0..n-1, in the quotient of the given order.
+
+    j and j + order give the same term, so n > order folds to two sums of
+    at most order terms.
+    """
     if n < 0:
         raise ValueError("summation length must be nonnegative")
+    euler_phi(order)  # the ring-size budget, before the loop
+    if n > order:
+        full, part = divmod(n, order)
+        return gauss_sum(a, order, order) * full + gauss_sum(a, part, order)
     terms: dict[int, int] = {}
     for j in range(n):
         e = (a * j * j) % order

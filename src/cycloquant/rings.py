@@ -10,7 +10,8 @@ Conventions used throughout:
     representative of degree < phi(k).
   * Localized elements are fractions elem/den with a positive integer
     denominator, normalized so gcd(den, content(elem)) = 1.
-  * Mod-p computations happen in F_p[A]/(Phi_k mod p), p prime.
+  * Mod-p computations happen in F_p[A]/(Phi_k mod p), p prime.  Phi_k is
+    monic, so a product there is the image mod p of the product over Z.
 
 Canonical ASCII form used by __str__ and the parsers: terms in ascending
 exponent order with explicit signs, e.g. "1 - A + A^3 - A^4 + A^5 - A^7 + A^8",
@@ -24,8 +25,8 @@ The dense kernel behind every product in a quotient has three steps:
   * Fold.  A^k = 1 folds the product to degree < k.
   * Divide.  The reversed quotient by Phi_k is the reversed dividend times
     the reciprocal series of rev(Phi_k), one more packed product (Barrett).
-    That series has integer coefficients, as Phi_k is monic; it is built
-    from Phi_k's binomial (Moebius) factors and cached per order.
+    Phi_k and that series (integral, as Phi_k is monic) are one Moebius
+    product of binomials 1 - A^d, truncated, and are cached per order.
 
 Operands with few nonzero coefficients keep the schoolbook convolution and
 the long division, which skip zeros; one constant per step picks the path
@@ -130,8 +131,8 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return [int.from_bytes(raw[i : i + w], "little") - bias for i in range(0, w * n, w)]
 
 
-def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int, p: int = 0) -> tuple[int, ...]:
-    """Dense a * b mod Phi_k (over F_p when p > 0), padded to phi(k) coefficients."""
+def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, ...]:
+    """Dense a * b mod Phi_k over Z, padded to phi(k) coefficients."""
     n = len(a) + len(b) - 1
     b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
     if (len(a) - a.count(0)) * len(b_terms) >= _KRONECKER_WORK_RATIO * (len(a) + len(b)):
@@ -146,62 +147,72 @@ def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int, p: int = 0) -> tupl
     for start in range(k, n, k):
         chunk = conv[start : start + k]
         folded[: len(chunk)] = [x + y for x, y in zip(folded, chunk)]
-    return _mod_phi(folded, k, p)
+    return _mod_phi(folded, k)
 
 
-def _mod_phi(f: list[int], k: int, p: int = 0) -> tuple[int, ...]:
-    """f mod Phi_k (over F_p when p > 0), deg f < k, padded to phi(k) coefficients.
+def _mod_phi(f: list[int], k: int) -> tuple[int, ...]:
+    """f mod Phi_k over Z, deg f < k, padded to phi(k) coefficients.
 
     A long quotient comes from the reciprocal series of Phi_k (Barrett; von
     zur Gathen and Gerhard, Modern Computer Algebra, 9.1): its reversal is
     rev(f) / rev(Phi_k) mod A^m. As Phi_k is monic, all of it stays over Z,
-    and over F_p the quotient and remainder are the images of those over Z.
+    and the quotient and remainder over F_p are the images of those over Z.
     """
     phi = _phi_dense(k)
     d = len(phi) - 1
-    f = _trim([c % p for c in f] if p else f)
+    f = _trim(f)
     m = len(f) - d  # the quotient's length
     if m * (len(phi) - phi.count(0)) < _BARRETT_WORK_RATIO * (m + d):
-        rem = _divmod(f, phi, p)[1]
+        rem = _divmod(f, phi)[1]
     else:
         quo = _kronecker(f[d:][::-1], _phi_reciprocal(k)[:m], m)[::-1]
-        if p:
-            quo = [c % p for c in quo]
-        rem = [x - y for x, y in zip(f, _kronecker(quo, phi[:d], d))]
-        rem = _trim([c % p for c in rem] if p else rem)
+        rem = _trim([x - y for x, y in zip(f, _kronecker(quo, phi[:d], d))])
     return tuple(rem) + (0,) * (d - len(rem))
 
 
 _PHI_BUDGET = 1 << 15  # the ring-size budget on phi(k); phi(30031) = 29464 is within it
 
 
+def _binomial_product(k: int, n: int, sign: int) -> list[int]:
+    """The product over squarefree e | k of (1 - A^(k/e))^(sign * mu(e)) mod A^n.
+
+    Each factor is one pass: a product by 1 - A^d, or over it, a running sum.
+    """
+    out = [1] + [0] * (n - 1)
+    primes = sorted(prime_factors(k))
+    for r in range(len(primes) + 1):
+        for e in itertools.combinations(primes, r):
+            d = k // math.prod(e)
+            if sign * (-1) ** r > 0:  # sign * mu(e) = 1: times 1 - A^d
+                out[d:] = [x - y for x, y in zip(out[d:], out)]
+            else:  # over 1 - A^d
+                for i in range(d, n):
+                    out[i] += out[i - d]
+    return out
+
+
 @functools.cache
 def _phi_dense(k: int) -> tuple[int, ...]:
-    """Dense coefficients of Phi_k, from Phi_1 = A - 1 one prime p of k at a time.
+    """Dense coefficients of Phi_k, from the Moebius product of its radical m.
 
-    Phi_mp(A) = Phi_m(A^p) / Phi_m(A), an exact division by a monic divisor,
-    when p does not divide m, and Phi_mp(A) = Phi_m(A^p) when p | m (Arnold
-    and Monagan, Math. Comp. 2011). The divisions come first, at rad(k).
-    A degree phi(k) over _PHI_BUDGET raises RecursionBudgetExceeded.
+    Phi_m = the product over squarefree e | m of (1 - A^(m/e))^mu(e) for
+    m > 1, a polynomial of degree phi(m), so the series to A^(phi(m) + 1)
+    is all of it; then Phi_k(A) = Phi_m(A^(k/m)). A degree phi(k) over
+    _PHI_BUDGET raises RecursionBudgetExceeded.
     """
     if k < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {k}")
     if k > 2 * _PHI_BUDGET**2:  # phi(k) >= sqrt(k/2), so no need to factor k
         raise RecursionBudgetExceeded(f"order {k} is past the budget phi(k) <= {_PHI_BUDGET}")
-    primes = sorted(prime_factors(k))
-    degree = k // math.prod(primes) * math.prod(p - 1 for p in primes)
+    primes = prime_factors(k)
+    m, phi_m = math.prod(primes), math.prod(p - 1 for p in primes)
+    degree = k // m * phi_m
     if degree > _PHI_BUDGET:
         raise RecursionBudgetExceeded(f"Phi_{k} has degree {degree}, budget is {_PHI_BUDGET}")
-    phi, m = [-1, 1], 1
-    for p in primes:  # p does not divide m
-        stretched = [0] * ((len(phi) - 1) * p + 1)
-        stretched[::p] = phi
-        phi, rem = _divmod(stretched, phi)
-        if rem:
-            raise ArithmeticError(f"Phi_{m} does not divide Phi_{m}(A^{p})")
-        m *= p
-    out = [0] * ((len(phi) - 1) * (k // m) + 1)  # every prime of k / m divides m
-    out[:: k // m] = phi
+    if k == 1:
+        return (-1, 1)
+    out = [0] * (degree + 1)
+    out[:: k // m] = _binomial_product(m, phi_m + 1, 1)
     return tuple(out)
 
 
@@ -209,22 +220,10 @@ def _phi_dense(k: int) -> tuple[int, ...]:
 def _phi_reciprocal(k: int) -> tuple[int, ...]:
     """1 / rev(Phi_k) mod A^(k - phi(k)), k >= 2: an integer series, as Phi_k is monic.
 
-    rev(Phi_k) = Phi_k, the product over squarefree e | k of (1 - A^(k/e))^mu(e)
-    (Moebius), so the series is a product of 2^omega(k) binomials 1 - A^d and
-    geometric series 1/(1 - A^d), each one pass over it.
+    rev(Phi_k) = Phi_k, the Moebius product that _phi_dense truncates, so
+    the series is the same product with every exponent negated.
     """
-    n = k - euler_phi(k)
-    out = [1] + [0] * (n - 1)
-    primes = sorted(prime_factors(k))
-    for r in range(len(primes) + 1):
-        for e in itertools.combinations(primes, r):
-            d = k // math.prod(e)
-            if r % 2:  # mu(e) = -1: times 1 - A^d
-                out[d:] = [x - y for x, y in zip(out[d:], out)]
-            else:  # mu(e) = 1: over 1 - A^d, a running sum with stride d
-                for i in range(d, n):
-                    out[i] += out[i - d]
-    return tuple(out)
+    return tuple(_binomial_product(k, k - euler_phi(k), -1))
 
 
 def euler_phi(k: int) -> int:
@@ -764,9 +763,8 @@ class ModCycloElem(_RingOps, _Record):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return ModCycloElem(
-            self.order, self.p, _mul_mod_phi(self.coeffs, o.coeffs, self.order, self.p)
-        )
+        product = _mul_mod_phi(self.coeffs, o.coeffs, self.order)  # Phi_k is monic
+        return ModCycloElem(self.order, self.p, tuple(c % self.p for c in product))
 
     def __str__(self) -> str:
         return f"{LaurentPoly(dict(enumerate(self.coeffs)))} (mod {self.p})"

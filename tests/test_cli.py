@@ -61,21 +61,48 @@ def test_phi_small_orders(capsys):
     assert out == "1 + A\n"
 
 
-def test_phi_30030_answers_cold():
-    # a fresh process, so Phi_30030 is built from nothing within the bound
+def _env_with_src() -> dict:
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_phi_30030_answers_cold():
+    # a fresh process, so Phi_30030 is built from nothing within the bound
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "cycloquant", "phi", "30030"],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env_with_src(),
     )
     assert time.perf_counter() - start < 2.0
     assert result.returncode == 0, result.stderr
     assert parse_laurent(result.stdout).max_exp == 5760
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end is closed before the child starts, so its first write
+    # fails (as under `| head`); 141 = 128 + SIGPIPE, and stderr stays empty.
+    # stdout is block-buffered: Phi_15 sits in the buffer until a flush,
+    # while Phi_30030 outgrows it and fails inside print
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    for k in ("15", "30030"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "cycloquant", "phi", k],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b""), k
 
 
 def test_reduce_round_trip(capsys):
@@ -202,8 +229,6 @@ def test_moo_fast_matches(capsys, tmp_path):
 def test_moo_30031_answers_cold(tmp_path):
     # a fresh process: Phi_30031 (degree 29464) and the 30031-term Gauss
     # sum's reduction are built from nothing within the bound
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     matrix = write_json(tmp_path, "one.json", {"matrix": [[1]]})
     start = time.perf_counter()
     result = subprocess.run(
@@ -211,7 +236,7 @@ def test_moo_30031_answers_cold(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env_with_src(),
     )
     assert time.perf_counter() - start < 2.0
     assert result.returncode == 0, result.stderr
@@ -462,11 +487,13 @@ def test_check_cor12_prime_beyond_exact_range_exits_2(capsys):
         ("phi", "510510"),
         ("reduce", "--order", str(10**12), "--poly", "A"),
         ("qint", "3", "--order", "510510"),
+        ("qint", str(10**12), "--order", str(10**9)),
         ("gr", "--r", "170171"),
         ("check-cor12", "--v", "1", "--r", "170171", "--p", "340343"),
         ("moo", "--n", "510511", "--matrix", "one.json"),
     ],
-    ids=["phi-510510", "reduce-10^12", "qint-510510", "gr-170171", "cor12-170171", "moo-510511"],
+    ids=["phi-510510", "reduce-10^12", "qint-510510", "qint-10^12-10^9", "gr-170171",
+         "cor12-170171", "moo-510511"],
 )
 def test_ring_over_budget_exits_2_fast(capsys, tmp_path, argv):
     # phi(k) <= 2^15 is the ring-size budget; Phi_510510 (degree 92160)
@@ -477,6 +504,25 @@ def test_ring_over_budget_exits_2_fast(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # 5 | n, so each exponent class mod 5 comes n/5 times: (n/5) Phi_5 = 0
+        (("qint", str(10**12), "--order", "5"), "0"),
+        # n = 7q + 1, and j^2 mod 7 takes 0 once and each of 1, 2, 4 twice
+        (("gauss", "--a", "1", "--n", str(10**12), "--order", "7"),
+         "142857142858 + 285714285714A + 285714285714A^2 + 285714285714A^4"),
+    ],
+    ids=["qint", "gauss"],
+)
+def test_huge_n_folds_by_the_period(capsys, argv, want):
+    # j and j + order give the same term, so at most order terms are built
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, want + "\n")
 
 
 def test_gr_301_is_fast(capsys):

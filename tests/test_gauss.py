@@ -38,6 +38,8 @@ def test_quantum_int_goldens():
     assert str(quantum_int_laurent(3)) == "A^-6 + 1 + A^6"
     # at order 3 every exponent is a multiple of 3, so [3] collapses to 3
     assert quantum_int(3, 3) == CycloElem.one(3) * 3
+    # n > order folds by the period; the direct sum builds all n terms
+    assert quantum_int(38, 15) == reduce(quantum_int_laurent(38), 15)
 
 
 def test_quantum_int_rejects_negative():
@@ -65,6 +67,9 @@ def test_gauss_sum_period_extension():
         a, n = d, (k // d) * rng.randint(1, 3)
         assert (a * n) % k == 0
         assert gauss_sum(a, 2 * n, k) == gauss_sum(a, n, k) * 2
+    # n > order, and a * n not a multiple of it, against the direct sum
+    direct = LaurentPoly([(2 * j * j, 1) for j in range(40)])
+    assert gauss_sum(2, 40, 15) == reduce(direct, 15)
 
 
 def test_s1_s2_magnitudes():

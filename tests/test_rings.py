@@ -71,13 +71,17 @@ def test_phi_matches_sympy():
 
 
 def test_phi_30030_is_fast():
-    # _phi_dense does not call itself, so __wrapped__ builds Phi_30030 cold
-    start = time.perf_counter()
-    phi = _phi_dense.__wrapped__(30030)
-    assert time.perf_counter() - start < 1.0
-    assert len(phi) - 1 == 5760
-    # Phi_2m(A) = Phi_m(-A) for odd m > 1
-    assert phi == tuple(c if i % 2 == 0 else -c for i, c in enumerate(_phi_dense(15015)))
+    # _phi_dense does not call itself, so __wrapped__ builds each Phi_k cold;
+    # 153510 = 2*3*5*7*17*43 has the most primes and the largest degree under
+    # the ring-size budget
+    for k, degree in ((30030, 5760), (102102, 23040), (153510, 32256)):
+        start = time.perf_counter()
+        phi = _phi_dense.__wrapped__(k)
+        assert time.perf_counter() - start < 1.0, k
+        assert len(phi) - 1 == degree, k
+        # Phi_2m(A) = Phi_m(-A) for odd m > 1
+        half = _phi_dense(k // 2)
+        assert phi == tuple(c if i % 2 == 0 else -c for i, c in enumerate(half)), k
 
 
 def test_ring_size_budget():
@@ -106,6 +110,27 @@ def test_phi_product_is_a_k_minus_1():
             if k % d == 0:
                 prod = prod * cyclotomic_poly(d)
         assert prod == LaurentPoly.monomial(k) - 1, k
+
+
+def test_phi_products_are_a_k_minus_1_to_3000():
+    # prod over d | k of Phi_d = A^k - 1 for every k <= 3000, by induction on
+    # k: with p the least prime of k and j = k/p, the d | k that do not
+    # divide j must give (A^k - 1) / (A^j - 1) = 1 + A^j + ... + A^((p-1)j).
+    # Exact packed products keep it fast, and no step is shared with how
+    # _phi_dense builds Phi_k.
+    assert _phi_dense(1) == (-1, 1)
+    divisors: list[list[int]] = [[] for _ in range(3001)]
+    for d in range(1, 3001):
+        for multiple in range(d, 3001, d):
+            divisors[multiple].append(d)
+    for k in range(2, 3001):
+        p = min(rings.prime_factors(k))
+        j = k // p
+        rest = sorted((_phi_dense(d) for d in divisors[k] if j % d), key=len)
+        prod = [1]
+        for phi in rest:
+            prod = rings._kronecker(prod, phi, len(prod) + len(phi) - 1)
+        assert prod == ([1] + [0] * (j - 1)) * (p - 1) + [1], k
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +396,13 @@ def test_kernel_matches_schoolbook_oracle(monkeypatch):
                  (1_000_000_007, "huge", "huge")]
         for p, kind_a, kind_b in cases:
             a, b = _operand(rng, k, kind_a), _operand(rng, k, kind_b)
-            if p:
-                a, b = [c % p for c in a], [c % p for c in b]
             before = calls.copy()
-            assert rings._mul_mod_phi(a, b, k, p) == _oracle_mul_mod_phi(a, b, k, p), (k, p)
+            if p:  # an F_p product is the image of the product over Z
+                a, b = [c % p for c in a], [c % p for c in b]
+                product = ModCycloElem(k, p, tuple(a)) * ModCycloElem(k, p, tuple(b))
+                assert product.coeffs == _oracle_mul_mod_phi(a, b, k, p), (k, p)
+            else:
+                assert rings._mul_mod_phi(a, b, k) == _oracle_mul_mod_phi(a, b, k), k
             divisions = calls["_phi_reciprocal"] - before["_phi_reciprocal"]
             products = calls["_kronecker"] - before["_kronecker"] - 2 * divisions
             paths.add("packed product" if products else "schoolbook product")
