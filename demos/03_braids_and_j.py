@@ -10,7 +10,14 @@ on the Hecke algebra of the braid group; an unknotted circle
 contributes the loop factor A^-6 + 1 + A^6.
 """
 
-from cycloquant import BraidWord, closure_components, j_invariant, parse_laurent
+from cycloquant import (
+    BraidWord,
+    closure_components,
+    j_invariant,
+    lift_component_rotation,
+    parse_laurent,
+    strong_periodicity_check,
+)
 
 # The trivial braid on one strand closes to the unknot.
 unknot = BraidWord(1)
@@ -43,3 +50,13 @@ for k in range(2, 7):
     j_prev, j_cur = j_cur, switch * j_prev + smooth * j_cur
     direct = j_invariant(BraidWord(2, (1,) * k))
     print(f"(2,{k}) torus closure matches recursion:", direct == j_cur)
+
+# The p-fold lift repeats the word p times. It is strongly periodic when
+# every lifted component runs through a multiple of p strands, and the
+# deck rotation by one block permutes the lift's components.
+chain = BraidWord(9, tuple(range(1, 9)))
+for quotient in (trefoil, chain):
+    framings = (0,) * len(closure_components(quotient))
+    check = strong_periodicity_check(quotient, 3, framings)
+    print(f"3-fold lift of {quotient.word}: strongly periodic:", check.satisfied)
+    print("  deck rotation maps components to", lift_component_rotation(quotient, 3))

@@ -13,8 +13,8 @@ import math
 from typing import Iterable
 
 from .gauss import _require_level, quantum_int_laurent
-from .links import BraidWord, LinkingMatrix, j_invariant, signature_counts
-from .moo import _as_matrix, _require_odd, moo_fast
+from .links import BraidWord, LinkingMatrix, _as_matrix, j_invariant, signature_counts
+from .moo import _require_odd, moo_fast
 from .rings import (
     CycloElem,
     CycloFraction,
@@ -146,9 +146,7 @@ def check_cor_1_2(v: CycloFraction, r: int, p: int) -> ObstructionVerdict:
         raise ValueError(f"invariant value must live at order {k}")
     # k = 3r and p are odd, so the 2k values +-A^s are distinct and a
     # lookup finds the only s
-    s_of = {
-        reduce_mod_p(CycloElem.a_power(k, s), p).coeffs: s for s in range(k)
-    }
+    s_of = {reduce_mod_p(x, p).coeffs: s for s, x in enumerate(powers_of_A_char0(r))}
     w = reduce_mod_p(v, p)
     for eps, x in ((1, w), (-1, -w)):
         s = s_of.get(x.coeffs)

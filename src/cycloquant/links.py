@@ -14,14 +14,13 @@ a closed braid J is a Markov trace on the Hecke algebra H_n: the word is
 multiplied into H_n in the permutation basis T_w, one letter at a time,
 and the trace is taken strand by strand. The cost is linear in the
 word length. The skein recursion that switches crossings toward a
-descending diagram is kept as j_skein, the oracle the tests check
-j_invariant against.
+descending diagram is the oracle j_skein in tests/oracles.py, which
+the tests check j_invariant against.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from typing import Iterable, Mapping, Sequence
 
 from .rings import LaurentPoly, RecursionBudgetExceeded, _Record
@@ -180,6 +179,12 @@ class LinkingMatrix(_Record):
         return [list(row) for row in self.entries]
 
 
+def _as_matrix(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> LinkingMatrix:
+    if isinstance(matrix, LinkingMatrix):
+        return matrix
+    return LinkingMatrix.from_rows(matrix)
+
+
 def linking_matrix(link: FramedBraidLink) -> LinkingMatrix:
     """Pairwise linking numbers of the closure, framings on the diagonal.
 
@@ -288,9 +293,7 @@ def signature_counts(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> SigTrip
     a symmetric elimination over Q, and the nullity is the size of the
     zero block left when no pivot remains.
     """
-    if not isinstance(matrix, LinkingMatrix):
-        matrix = LinkingMatrix.from_rows(matrix)
-    pivots, residual = _symmetric_eliminate(matrix.rows())
+    pivots, residual = _symmetric_eliminate(_as_matrix(matrix).rows())
     plus = sum(1 for a in pivots if a > 0)
     return SigTriple(plus, len(pivots) - plus, len(residual))
 
@@ -424,140 +427,6 @@ def j_invariant(b: BraidWord) -> LaurentPoly:
     for g in b.word:
         elem = _times_letter(elem, g)
     return LaurentPoly(_trace(elem, b.strands))
-
-
-# Oracle: the skein recursion, switching crossings toward a descending
-# diagram in a strand sweep. Exponential in crossings; the tests check
-# j_invariant against it.
-
-_NODE_BUDGET = 500_000
-
-
-def _canonical(n: int, word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # closure-preserving word shrinking: free reduction, cancellation
-    # across the closure seam, and removal of a lone top generator
-    changed = True
-    while changed:
-        changed = False
-        stack: list[int] = []
-        for g in word:
-            if stack and stack[-1] == -g:
-                stack.pop()
-                changed = True
-            else:
-                stack.append(g)
-        word = tuple(stack)
-        while len(word) >= 2 and word[0] == -word[-1]:
-            word = word[1:-1]
-            changed = True
-        while n >= 2:
-            hits = [t for t, g in enumerate(word) if abs(g) == n - 1]
-            if len(hits) != 1:
-                break
-            t = hits[0]
-            word = word[:t] + word[t + 1 :]
-            n -= 1
-            changed = True
-    return n, word
-
-
-def _first_bad_crossing(
-    n: int, word: tuple[int, ...], priority: Sequence[int]
-) -> tuple[int, int] | None:
-    # walk every component downward from its basepoint; the first
-    # crossing met on its under-strand breaks descending order
-    comps = closure_components(BraidWord(n, word))
-    order = sorted(comps, key=lambda c: min(priority[s] for s in c))
-    seen: set[int] = set()
-    for comp in order:
-        start = min(comp, key=lambda s: priority[s])
-        pos = start
-        while True:
-            for t, g in enumerate(word):
-                i = abs(g)
-                if pos == i - 1 or pos == i:
-                    over = (g > 0) == (pos == i - 1)
-                    if t not in seen:
-                        seen.add(t)
-                        if not over:
-                            return t, g
-                    pos = i if pos == i - 1 else i - 1
-            if pos == start:
-                break
-    return None
-
-
-def _analyze(n: int, word: tuple[int, ...], priority: Sequence[int]):
-    if not word:
-        return ("leaf", _LOOP**n)
-    used = {abs(g) for g in word}
-    for j in range(1, n):
-        if j not in used:
-            low = tuple(g for g in word if abs(g) < j)
-            high = tuple(
-                (abs(g) - j) * (1 if g > 0 else -1) for g in word if abs(g) > j
-            )
-            return ("prod", _canonical(j, low), _canonical(n - j, high))
-    bad = _first_bad_crossing(n, word, priority)
-    if bad is None:
-        n_comps = len(closure_components(BraidWord(n, word)))
-        return ("leaf", _LOOP**n_comps)
-    t, g = bad
-    switched = _canonical(n, word[:t] + (-g,) + word[t + 1 :])
-    smoothed = _canonical(n, word[:t] + word[t + 1 :])
-    if g > 0:
-        return ("sum", _SWITCH_POS, switched, _SMOOTH_POS, smoothed)
-    return ("sum", _SWITCH_NEG, switched, _SMOOTH_NEG, smoothed)
-
-
-def j_skein(
-    b: BraidWord, *, traversal_seed: int | None = None, max_crossings: int = 64
-) -> LaurentPoly:
-    """J of the closure of b by the skein recursion; the test oracle.
-
-    traversal_seed shuffles the strand sweep used to pick crossings;
-    any seed yields the same value. max_crossings caps the input word
-    (and a generous internal expansion budget guards the recursion);
-    both raise RecursionBudgetExceeded.
-    """
-    if len(b.word) > max_crossings:
-        raise RecursionBudgetExceeded(
-            f"word has {len(b.word)} crossings, cap is {max_crossings}"
-        )
-    priority = list(range(b.strands))
-    if traversal_seed is not None:
-        random.Random(traversal_seed).shuffle(priority)
-
-    memo: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
-    plans: dict[tuple[int, tuple[int, ...]], tuple] = {}
-    root = _canonical(b.strands, b.word)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        plan = plans.get(key)
-        if plan is None:
-            if len(plans) >= _NODE_BUDGET:
-                raise RecursionBudgetExceeded("skein expansion budget exhausted")
-            plan = _analyze(key[0], key[1], priority)
-            plans[key] = plan
-        if plan[0] == "leaf":
-            memo[key] = plan[1]
-            stack.pop()
-            continue
-        kids = (plan[1], plan[2]) if plan[0] == "prod" else (plan[2], plan[4])
-        missing = [k for k in kids if k not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        if plan[0] == "prod":
-            memo[key] = memo[kids[0]] * memo[kids[1]]
-        else:
-            memo[key] = plan[1] * memo[kids[0]] + plan[3] * memo[kids[1]]
-        stack.pop()
-    return memo[root]
 
 
 # ---------------------------------------------------------------------------

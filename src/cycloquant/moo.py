@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .gauss import gauss_sum
-from .links import LinkingMatrix, _symmetric_eliminate, signature_counts
+from .links import LinkingMatrix, _as_matrix, _symmetric_eliminate, signature_counts
 from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, prime_factors, reduce
 
 # ---------------------------------------------------------------------------
@@ -101,12 +101,6 @@ class MooValue(_Record):
 
 # ---------------------------------------------------------------------------
 # the defining sum
-
-
-def _as_matrix(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> LinkingMatrix:
-    if isinstance(matrix, LinkingMatrix):
-        return matrix
-    return LinkingMatrix.from_rows(matrix)
 
 
 def _require_odd(n: int) -> None:

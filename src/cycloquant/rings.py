@@ -245,11 +245,14 @@ class _RingOps:
     through attribute lookup of __mul__, so a wrapper set on the class (as
     perfbench/tracer.py does) sees every one of them.
 
-    Equality coerces as arithmetic does, so an int n equals the constant
-    element n (mod p, every n of its residue class). Elements of different
-    orders or moduli are unequal, though mixing them in arithmetic raises.
-    _canonical is the int for a constant element, so such an element hashes
-    like that int (mod p, like its representative in [0, p)).
+    Equality coerces as arithmetic does. Among ring values (LaurentPoly,
+    CycloElem, CycloFraction, ModCycloElem, MooValue), == is an equivalence
+    that agrees with hash; elements of different orders or moduli are
+    unequal, though mixing them in arithmetic raises. An int is the only
+    bridge: it equals the constant of every order and of every residue class
+    mod p, so == through an int is not transitive, by design. _canonical is
+    the int for a constant element, so such an element hashes like that int
+    (mod p, like its representative in [0, p)).
     """
 
     __slots__ = ()

@@ -6,8 +6,6 @@ byte-exact; numerical comparisons pin their tolerance inline; every
 randomized sweep uses a fixed seed.
 """
 
-import cmath
-import itertools
 import random
 import time
 
@@ -18,7 +16,6 @@ from cycloquant import (
     BraidWord,
     CycloElem,
     CycloFraction,
-    LinkingMatrix,
     MooValue,
     check_cor_1_2,
     check_thm_4_1,
@@ -35,9 +32,9 @@ from cycloquant import (
     reduce_mod_p,
     s1,
     s2,
-    signature_counts,
 )
-from cycloquant.links import j_skein
+from oracles import _block_sum, _congruent, _float_invariant, _random_braid, _random_symmetric
+from oracles import _random_unimodular, j_skein
 
 ODD_LEVELS = (3, 5, 7, 9, 15)
 
@@ -63,54 +60,6 @@ REDUCED_POWERS_LEVEL_5 = (
 
 def _report(n: int, text: str) -> None:
     print(f"criterion {n}: PASS ({text})")
-
-
-def _random_symmetric(rng: random.Random, max_size: int = 3) -> list[list[int]]:
-    m = rng.randint(0, max_size)
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
-    return rows
-
-
-def _block_sum(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    ma, mb = len(a), len(b)
-    out = [[0] * (ma + mb) for _ in range(ma + mb)]
-    for i in range(ma):
-        out[i][:ma] = a[i]
-    for i in range(mb):
-        for j in range(mb):
-            out[ma + i][ma + j] = b[i][j]
-    return out
-
-
-def _random_unimodular(rng: random.Random, m: int) -> list[list[int]]:
-    e = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for _ in range(rng.randint(1, 5) if m >= 2 else 0):
-        i, j = rng.sample(range(m), 2)
-        c = rng.randint(-2, 2)
-        for col in range(m):
-            e[j][col] += c * e[i][col]
-    return e
-
-
-def _congruent(b: list[list[int]], e: list[list[int]]) -> list[list[int]]:
-    m = len(b)
-    be = [[sum(b[i][k] * e[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    return [[sum(e[k][i] * be[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-
-
-def _random_braid(rng: random.Random, max_strands: int = 4, max_len: int = 8) -> BraidWord:
-    n = rng.randint(1, max_strands)
-    if n == 1:
-        return BraidWord(1)
-    length = rng.randint(0, max_len)
-    word = []
-    for _ in range(length):
-        g = rng.randint(1, n - 1)
-        word.append(g if rng.random() < 0.5 else -g)
-    return BraidWord(n, tuple(word))
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +161,6 @@ def test_criterion_09_fast_path_agreement():
         b = _random_symmetric(rng)
         assert moo_fast(b, n) == moo_invariant(b, n)
     _report(9, "moo_fast equals moo_invariant on 200 random matrices")
-
-
-def _float_invariant(rows: list[list[int]], n: int) -> complex:
-    m = len(rows)
-    w = cmath.exp(2j * cmath.pi / n)
-    bracket = sum(
-        w ** (sum(rows[i][j] * l[i] * l[j] for i in range(m) for j in range(m)) % n)
-        for l in itertools.product(range(n), repeat=m)
-    )
-    g = sum(w ** (k * k % n) for k in range(n))
-    sig = signature_counts(LinkingMatrix.from_rows(rows))
-    return (
-        n ** (-sig.nullity / 2)
-        * bracket
-        * g ** (-sig.sigma_plus)
-        * g.conjugate() ** (-sig.sigma_minus)
-    )
 
 
 def test_criterion_10_float_oracle():

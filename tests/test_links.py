@@ -18,7 +18,6 @@ from cycloquant.links import (
     SigTriple,
     closure_components,
     j_invariant,
-    j_skein,
     lift_component_rotation,
     linking_matrix,
     periodic_lift,
@@ -26,20 +25,9 @@ from cycloquant.links import (
     strong_periodicity_check,
 )
 from cycloquant.rings import LaurentPoly
+from oracles import _random_braid, j_skein
 
 LOOP = LaurentPoly({-6: 1, 0: 1, 6: 1})
-
-
-def _random_braid(rng: random.Random, max_strands: int = 4, max_len: int = 8) -> BraidWord:
-    n = rng.randint(1, max_strands)
-    if n == 1:
-        return BraidWord(1)
-    length = rng.randint(0, max_len)
-    word = []
-    for _ in range(length):
-        g = rng.randint(1, n - 1)
-        word.append(g if rng.random() < 0.5 else -g)
-    return BraidWord(n, tuple(word))
 
 
 # ---------------------------------------------------------------------------

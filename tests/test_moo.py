@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import cmath
-import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycloquant.gauss import gauss_sum
 from cycloquant.links import LinkingMatrix, SigTriple, signature_counts
@@ -21,28 +22,9 @@ from cycloquant.rings import (
     _phi_dense,
     reduce,
 )
+from oracles import _block_sum, _congruent, _float_invariant, _random_symmetric, _random_unimodular
 
 ODD_LEVELS = (3, 5, 7, 9, 15)
-
-
-def _random_symmetric(rng: random.Random, max_size: int = 3) -> list[list[int]]:
-    m = rng.randint(0, max_size)
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
-    return rows
-
-
-def _block_sum(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    ma, mb = len(a), len(b)
-    out = [[0] * (ma + mb) for _ in range(ma + mb)]
-    for i in range(ma):
-        out[i][: ma] = a[i]
-    for i in range(mb):
-        for j in range(mb):
-            out[ma + i][ma + j] = b[i][j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +93,33 @@ def test_equal_values_hash_equal():
                 continue
             assert hash(x) == hash(y), (x, y)
     assert equal_pairs == 2 * 29  # the pool's 29 equal pairs, each both ways
+
+
+@st.composite
+def ring_values(draw):
+    # the five types on one small coefficient vector, so that values of
+    # different types often agree
+    order, p = draw(st.sampled_from((5, 7))), draw(st.sampled_from((3, 7)))
+    den, half = draw(st.sampled_from((1, 2))), draw(st.sampled_from((0, 1)))
+    c = (draw(st.integers(-2, 2)), draw(st.integers(0, 1))) + (0,) * (order - 3)
+    num = CycloElem(order, c)
+    frac, mod = CycloFraction(num, den), ModCycloElem(order, p, tuple(x % p for x in c))
+    return [LaurentPoly({0: c[0], 1: c[1]}), num, frac, mod, MooValue(frac, half)]
+
+
+@given(st.lists(ring_values(), min_size=1, max_size=4))
+def test_ring_equality_is_an_equivalence(groups):
+    # an int is the one bridge: it equals the constant of every ring, so
+    # == through an int is not transitive, by design
+    assert LaurentPoly({0: 2}) == 2 == CycloElem.one(5) * 2 != LaurentPoly({0: 2})
+    pool = [x for group in groups for x in group]
+    for x in pool:
+        assert x == x
+        for y in pool:
+            assert (x == y) == (y == x)
+            if x == y:
+                assert hash(x) == hash(y)
+                assert all((x == z) == (y == z) for z in pool)
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +234,6 @@ def test_moo_kirby_stabilization():
             assert moo_invariant(_block_sum(b, [[eps]]), n) == base
 
 
-def _random_unimodular(rng: random.Random, m: int) -> list[list[int]]:
-    e = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for _ in range(rng.randint(1, 5) if m >= 2 else 0):
-        i, j = rng.sample(range(m), 2)
-        c = rng.randint(-2, 2)
-        for col in range(m):
-            e[j][col] += c * e[i][col]
-    return e
-
-
-def _congruent(b: list[list[int]], e: list[list[int]]) -> list[list[int]]:
-    m = len(b)
-    be = [[sum(b[i][k] * e[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    return [[sum(e[k][i] * be[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-
-
 def test_moo_unimodular_congruence():
     rng = random.Random(227)
     for _ in range(30):
@@ -340,23 +333,6 @@ def test_moo_fast_matches_brute_force():
 
 # ---------------------------------------------------------------------------
 # float oracle
-
-
-def _float_invariant(rows: list[list[int]], n: int) -> complex:
-    m = len(rows)
-    w = cmath.exp(2j * cmath.pi / n)
-    bracket = sum(
-        w ** (sum(rows[i][j] * l[i] * l[j] for i in range(m) for j in range(m)) % n)
-        for l in itertools.product(range(n), repeat=m)
-    )
-    g = sum(w ** (k * k % n) for k in range(n))
-    sig = signature_counts(LinkingMatrix.from_rows(rows))
-    return (
-        n ** (-sig.nullity / 2)
-        * bracket
-        * g ** (-sig.sigma_plus)
-        * g.conjugate() ** (-sig.sigma_minus)
-    )
 
 
 def test_moo_float_oracle():

@@ -1,8 +1,9 @@
 """The brute-force oracles stay out of the production modules.
 
-moo_invariant and bracket_sum enumerate (Z/N)^m and j_skein recurses
-exponentially in crossings; they exist to check the fast paths, so the
-command line and the obstruction tests must not reach them.
+moo_invariant and bracket_sum enumerate (Z/N)^m, and j_skein, which
+lives in tests/oracles.py, recurses exponentially in crossings; they
+exist to check the fast paths, so the command line and the obstruction
+tests must not reach them. The package exports nothing without a caller.
 """
 
 import ast
@@ -38,6 +39,23 @@ def _names(tree: ast.AST) -> set[str]:
 def test_no_oracle_in_production_module(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert not _names(tree) & FORBIDDEN[module]
+
+
+def test_every_export_has_a_caller():
+    # a load, attribute or string reference in the package's own modules,
+    # the demos or the benchmark; the tests do not count
+    root = pathlib.Path(__file__).resolve().parent.parent
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in callers + [*root.glob("demos/*.py"), *root.glob("perfbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert sorted(set(cycloquant.__all__) - used) == []
 
 
 # Cold start: every CLI command is a fresh process, and dataclasses (with
