@@ -11,8 +11,9 @@ J is valued in the Laurent ring Z[A^(+-1)] and satisfies
     A^9 J(L+) - A^-9 J(L-) = (A^3 - A^-3) J(L0).
 This is the HOMFLYPT skein relation at v = A^-9, z = A^3 - A^-3, so on
 a closed braid J is a Markov trace on the Hecke algebra H_n: the word is
-multiplied into H_n in the permutation basis T_w, one letter at a time,
-and the trace is taken strand by strand. The cost is linear in the
+multiplied into H_n in a permutation basis, one letter at a time, with
+each coefficient packed into one int, and the trace is taken strand by
+strand. The cost is linear in the
 word length. The skein recursion that switches crossings toward a
 descending diagram is the oracle j_skein in tests/oracles.py, which
 the tests check j_invariant against.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Mapping, Sequence
 
-from .rings import LaurentPoly, RecursionBudgetExceeded, _Record
+from .rings import LaurentPoly, RecursionBudgetExceeded, _ones, _pack, _Record, _unpack
 
 
 def _is_int(x: object) -> bool:
@@ -158,15 +159,11 @@ class LinkingMatrix(_Record):
                     raise ValueError("matrix must be symmetric")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LinkingMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
     def from_dict(cls, data: Mapping) -> "LinkingMatrix":
         if "matrix" not in data:
             raise ValueError('matrix JSON is missing key "matrix"')
         rows = _json_list(data["matrix"], "matrix")
-        return cls.from_rows(_json_list(row, "matrix row") for row in rows)
+        return cls(_json_list(row, "matrix row") for row in rows)
 
     def to_dict(self) -> dict:
         return {"matrix": [list(row) for row in self.entries]}
@@ -182,7 +179,7 @@ class LinkingMatrix(_Record):
 def _as_matrix(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> LinkingMatrix:
     if isinstance(matrix, LinkingMatrix):
         return matrix
-    return LinkingMatrix.from_rows(matrix)
+    return LinkingMatrix(matrix)
 
 
 def linking_matrix(link: FramedBraidLink) -> LinkingMatrix:
@@ -219,7 +216,7 @@ def linking_matrix(link: FramedBraidLink) -> LinkingMatrix:
                     raise ArithmeticError("odd inter-component crossing count")
                 row.append(half)
         rows.append(row)
-    return LinkingMatrix.from_rows(rows)
+    return LinkingMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -301,37 +298,22 @@ def signature_counts(matrix: LinkingMatrix | Iterable[Iterable[int]]) -> SigTrip
 # ---------------------------------------------------------------------------
 # the J invariant
 
-_LOOP = LaurentPoly({-6: 1, 0: 1, 6: 1})
-_SWITCH_POS = LaurentPoly.monomial(-18)
-_SMOOTH_POS = LaurentPoly({-6: 1, -12: -1})
-_SWITCH_NEG = LaurentPoly.monomial(18)
-_SMOOTH_NEG = LaurentPoly({6: 1, 12: -1})
-
 # Production path: J of the closure of b is the Markov trace of b's image
 # in the Hecke algebra H_n. The skein relation at one crossing reads
-#     T_i = A^-18 T_i^-1 + (A^-6 - A^-12),   T_i^-1 = A^18 T_i + (A^6 - A^12),
-# the switch and smoothing coefficients below; equivalently
-# T_i^2 = (A^-6 - A^-12) T_i + A^-18. An element of H_n is a
-# dict from permutation w (a tuple, w[k] the image of k) to its
-# coefficient on T_w; a coefficient is an {exponent: integer} dict in A,
-# never mutated once it is stored in an element.
+#     T_i = A^-18 T_i^-1 + (A^-6 - A^-12),   T_i^-1 = A^18 T_i + (A^6 - A^12).
+# In q = A^6 and S_i = q^2 T_i it is S_i^2 = (q - 1) S_i + q, or
+# q S_i^-1 = S_i - q + 1. An element of H_n is a dict from permutation w
+# (a tuple, w[k] the image of k) to its coefficient on S_w: a polynomial
+# in q, held as one int, its value at q = 2^bits (Kronecker substitution),
+# times a power of q for the whole element.
 
-_LOOP_TERMS = _LOOP.terms()
-_STEP = {  # letter sign -> (smoothing terms, switch exponent)
-    1: (_SMOOTH_POS.terms(), _SWITCH_POS.min_exp),
-    -1: (_SMOOTH_NEG.terms(), _SWITCH_NEG.min_exp),
-}
+_LOOP_TERMS = ((-1, 1), (0, 1), (1, 1))  # a closed loop counts q^-1 + 1 + q
 # terms x strands^2 bounds the work of a trace step; the full twist on
 # 7 strands reaches all 7! terms and sits exactly at the budget
 _WORK_BUDGET = 5040 * 7**2
 _STRAND_BUDGET = 64  # sigma_1 ... sigma_63 closes in 5 ms; that chain costs O(n^3)
-
-
-def _add_scaled(acc: dict, c: dict, terms) -> None:
-    """acc += c * sum(f A^d for d, f in terms)."""
-    for d, f in terms:
-        for e, x in c.items():
-            acc[e + d] = acc.get(e + d, 0) + f * x
+_START_BITS = 64  # bits a digit, until a bound on the digits outgrows them
+_HEADROOM_BITS = 32  # the digit growth a new bound or width leaves room for
 
 
 def _within_budget(elem: dict) -> dict:
@@ -344,39 +326,66 @@ def _within_budget(elem: dict) -> dict:
     return elem
 
 
-def _times_letter(elem: dict, g: int) -> dict:
-    """elem * T_g for g > 0, elem * T_{-g}^-1 for g < 0."""
+def _fit(elem: dict, bits: int, growth: int, frame: int) -> tuple:
+    """(elem, bits, bound, frame) once a bound on the digits times growth outgrows bits.
+
+    The zero digits that every coefficient ends in move to the frame. Then
+    |digit| <= 2^t is tried for two t with headroom: it holds exactly when
+    adding 2^t to every digit leaves its bits above t clear. Failing both,
+    the digits are repacked at a width from their actual size.
+    """
+    k = min((((c & -c).bit_length() - 1) // bits for c in elem.values()), default=0)
+    elem, frame = {w: c >> bits * k for w, c in elem.items()}, frame + k
+    room = bits - 1 - growth.bit_length() - _HEADROOM_BITS
+    if elem and room >= 0:
+        ones = _ones(bits // 8, max(abs(c).bit_length() for c in elem.values()) // bits + 2)
+        for t in (room // 2, room):  # the smaller bound leaves more headroom
+            high = ones * ((1 << bits) - (2 << t))  # bits t+1 .. bits-1 of every digit
+            if not any((c + (ones << t)) & high for c in elem.values()):
+                return elem, bits, growth << t, frame
+    digits = {w: _unpack(c, bits // 8) for w, c in elem.items()}
+    bound = growth * max((abs(x) for d in digits.values() for x in d), default=0)
+    top = bound.bit_length()  # headroom grows with the digits, up to 256 bits
+    bits = 8 + 8 * ((top + min(_HEADROOM_BITS + top // 2, 256)) // 8)
+    return {w: _pack(d, bits // 8) for w, d in digits.items()}, bits, bound, frame
+
+
+def _times_letter(elem: dict, g: int, bits: int) -> dict:
+    """elem * S_g for g > 0, elem * q S_{-g}^-1 for g < 0."""
     i = abs(g)
-    smooth, switch = _STEP[1 if g > 0 else -1]
+    up = g > 0
+    stay = 0 if up else bits
     out = {}
     for w, c in elem.items():
-        ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-        if (w[i - 1] < w[i]) == (g > 0):
-            # T_w T_i = T_ws when the length goes up, and T_w T_i^-1 = T_ws
+        ws = list(w)
+        ws[i - 1], ws[i] = w[i], w[i - 1]
+        ws = tuple(ws)
+        if (w[i - 1] < w[i]) == up:
+            # S_w S_i = S_ws when the length goes up, and q S_w S_i^-1 = q S_ws
             # when it goes down; if ws carries a term of its own, the pair
             # is handled from ws's side
             if ws not in elem:
-                out[ws] = c
+                out[ws] = c << stay
             continue
-        # otherwise T_w T_i^(+-1) = smooth T_w + A^switch T_ws, and the
-        # term on ws moves onto w
-        acc = dict(elem.get(ws, ()))
-        _add_scaled(acc, c, smooth)
-        acc = {e: x for e, x in acc.items() if x}
+        # otherwise S_w S_i = (q - 1) S_w + q S_ws, or q S_w S_i^-1 =
+        # (1 - q) S_w + S_ws, and the term on ws moves onto w
+        t = c << bits
+        acc = (elem.get(ws, 0) << stay) + (t - c if up else c - t)
         if acc:
             out[w] = acc
-        out[ws] = {e + switch: x for e, x in c.items()}
+        out[ws] = t if up else c
     return _within_budget(out)
 
 
 @functools.lru_cache(maxsize=1 << 15)
 def _markov(w: tuple[int, ...]) -> tuple:
-    """tr_n(T_w) as tr_{n-1} of an element of H_{n-1}, as (v, terms) pairs.
+    """tr_n(S_w) as tr_{n-1} of an element of H_{n-1}.
 
-    If w fixes the last strand, T_w lies in H_{n-1} and the strand closes
-    to a loop. Otherwise w = c u with c = s_{j+1} ... s_{n-1} reduced,
-    j = w[n-1] and u fixing the last strand, so
-    tr_n(T_w) = tr_n(T_{j+1} ... T_{n-1} T_u) = tr_{n-1}(T_u T_{j+1} ... T_{n-2})
+    Returns (lowest exponent, l1 norm, (v, terms) pairs), a term (d, f)
+    standing for f q^d. If w fixes the last strand, S_w lies in H_{n-1}
+    and the strand closes to a loop. Otherwise w = c u with
+    c = s_{j+1} ... s_{n-1} reduced, j = w[n-1] and u fixing the last strand, so
+    tr_n(S_w) = tr_n(S_{j+1} ... S_{n-1} S_u) = q^2 tr_{n-1}(S_u S_{j+1} ... S_{n-2})
     by cyclicity and tr_n(x T_{n-1}) = tr_{n-1}(x), which holds because J
     does not depend on framing.
     """
@@ -384,27 +393,17 @@ def _markov(w: tuple[int, ...]) -> tuple:
     j = w[-1]
     u = tuple(x - (x > j) for x in w[:-1])
     if j == n - 1:
-        return ((u, _LOOP_TERMS),)
-    elem = {u: {0: 1}}
+        return -1, 3, ((u, _LOOP_TERMS),)
+    bits = 8 * ((n - 2 - j) // 4 + 1)  # n - 2 - j letters, each at most tripling a digit
+    elem = {u: 1}
     for g in range(j + 1, n - 1):
-        elem = _times_letter(elem, g)
-    return tuple((v, tuple(c.items())) for v, c in elem.items())
-
-
-def _trace(elem: dict, n: int) -> dict:
-    """The Markov trace of an element of H_n, one strand at a time."""
-    for _ in range(n):
-        out: dict = {}
-        for w, c in elem.items():
-            for v, terms in _markov(w):
-                _add_scaled(out.setdefault(v, {}), c, terms)
-        elem = {}
-        for v, acc in out.items():
-            acc = {e: x for e, x in acc.items() if x}
-            if acc:
-                elem[v] = acc
-        _within_budget(elem)
-    return elem.get((), {})
+        elem = _times_letter(elem, g, bits)
+    entries = tuple(
+        (v, tuple((i + 2, f) for i, f in enumerate(_unpack(c, bits // 8)) if f))
+        for v, c in elem.items()
+    )
+    terms = [t for _, ts in entries for t in ts]
+    return min(terms)[0], sum(abs(f) for _, f in terms), entries
 
 
 def j_invariant(b: BraidWord) -> LaurentPoly:
@@ -418,15 +417,44 @@ def j_invariant(b: BraidWord) -> LaurentPoly:
     7! * 7^2 raises RecursionBudgetExceeded, so every braid on at most
     7 strands is answered; a braid on more than 64 strands is refused
     before any work.
+
+    A coefficient is one packed int, so a letter is a few shifts and adds
+    per basis term. The digit width follows a proven bound: a letter at
+    most triples a digit, a trace step multiplies it by at most the l1 norm
+    of the Markov terms it applies. Past the width, a smaller bound is
+    proven from the ints, or the digits are repacked at their actual size.
     """
-    if b.strands > _STRAND_BUDGET:
-        raise RecursionBudgetExceeded(
-            f"braid has {b.strands} strands, budget is {_STRAND_BUDGET}"
-        )
-    elem = {tuple(range(b.strands)): {0: 1}}
+    n = b.strands
+    if n > _STRAND_BUDGET:
+        raise RecursionBudgetExceeded(f"braid has {n} strands, budget is {_STRAND_BUDGET}")
+    # T_g = q^-2 S_g and T_g^-1 = q (q S_g^-1); q^frame is what digit 0 stands for
+    frame = sum(-2 if g > 0 else 1 for g in b.word)
+    elem, bits, bound = {tuple(range(n)): 1}, _START_BITS, 1
     for g in b.word:
-        elem = _times_letter(elem, g)
-    return LaurentPoly(_trace(elem, b.strands))
+        bound *= 3
+        if bound >> (bits - 1):
+            elem, bits, bound, frame = _fit(elem, bits, 3, frame)
+        elem = _times_letter(elem, g, bits)
+    for _ in range(n):  # the Markov trace, one strand at a time
+        # a Markov exponent is -1 (a loop) or at least 2 (q^2 times a product of S_i)
+        marks, lo, growth = [], 2, 0
+        for w in elem:  # a loop, not comprehensions: this runs once a strand
+            marks.append(_markov(w))
+            lo, growth = min(lo, marks[-1][0]), growth + marks[-1][1]
+        bound *= growth
+        if bound >> (bits - 1):
+            elem, bits, bound, frame = _fit(elem, bits, growth, frame)
+        out: dict = {}
+        for c, (_, _, entries) in zip(elem.values(), marks):
+            for v, terms in entries:
+                acc = out.get(v, 0)
+                for d, f in terms:
+                    acc += (c if f == 1 else f * c) << bits * (d - lo)
+                out[v] = acc
+        elem = _within_budget(out if all(out.values()) else {v: c for v, c in out.items() if c})
+        frame += lo
+    digits = _unpack(elem.get((), 0), bits // 8)
+    return LaurentPoly({6 * (frame + i): x for i, x in enumerate(digits) if x})
 
 
 # ---------------------------------------------------------------------------

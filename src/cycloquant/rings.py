@@ -106,6 +106,26 @@ _KRONECKER_WORK_RATIO = 8  # term products of the convolution, a * b
 _BARRETT_WORK_RATIO = 16  # term products of the long division by Phi_k
 
 
+def _ones(w: int, n: int) -> int:
+    """sum 2^(8wi) for i < n: a one in each of n digits of w bytes."""
+    return ((1 << (8 * w * n)) - 1) // ((1 << (8 * w)) - 1)
+
+
+def _pack(c: Sequence[int], w: int) -> int:
+    """sum c_i 2^(8wi) for signed digits |c_i| < 2^(8w-1), joined as biased bytes."""
+    bias = 1 << (8 * w - 1)
+    raw = b"".join((x + bias).to_bytes(w, "little") for x in c)
+    return int.from_bytes(raw, "little") - bias * _ones(w, len(c))
+
+
+def _unpack(x: int, w: int, n: int = 0) -> list[int]:
+    """The n (0: all) low signed digits of x = sum c_i 2^(8wi), |c_i| < 2^(8w-1)."""
+    n = n or abs(x).bit_length() // (8 * w) + 2
+    bias = 1 << (8 * w - 1)
+    raw = ((x + bias * _ones(w, n)) & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - bias for i in range(0, w * n, w)]
+
+
 def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """The first n coefficients of a * b, from one product of packed integers.
 
@@ -117,18 +137,7 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """
     ba, bb = max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()
     w = max(ba + bb + min(len(a), len(b)).bit_length(), ba, bb) // 8 + 1
-    bias = 1 << (8 * w - 1)
-
-    def ones(m: int) -> int:  # sum of 2^(8wi), i < m
-        return ((1 << (8 * w * m)) - 1) // ((1 << (8 * w)) - 1)
-
-    def pack(c: Sequence[int]) -> int:
-        raw = b"".join((x + bias).to_bytes(w, "little") for x in c)
-        return int.from_bytes(raw, "little") - bias * ones(len(c))
-
-    low = (pack(a) * pack(b) + bias * ones(n)) & ((1 << (8 * w * n)) - 1)
-    raw = low.to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - bias for i in range(0, w * n, w)]
+    return _unpack(_pack(a, w) * _pack(b, w), w, n)
 
 
 def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, ...]:
@@ -833,9 +842,9 @@ def ideal_gcd_poly(g: LaurentPoly, p: int, k: int) -> tuple[int, ...]:
 def laurent_ideal_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
     """Decide f in (p, g) inside Z[A^{+-1}].
 
-    Modulo p this is divisibility in F_p[A^{+-1}]; powers of A are units,
-    so both polynomials are shifted to have a nonzero constant term and
-    the test is plain univariate divisibility over F_p.
+    Modulo p this is divisibility in F_p[A^{+-1}]; powers of A are units, so
+    both are shifted to a nonzero constant term. With f = F(A^d), g = G(A^d)
+    for d the gcd of their exponents, g | f over F_p exactly when G | F.
     """
     _require_prime(p)
     f_bar = _laurent_mod_p_cleared(f, p)
@@ -844,7 +853,9 @@ def laurent_ideal_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
     g_bar = _laurent_mod_p_cleared(g, p)
     if not g_bar:
         return False
-    _, rem = _divmod(f_bar, g_bar, p)
+    exponents = (i for a in (f_bar, g_bar) for i, c in enumerate(a) if c)
+    d = functools.reduce(math.gcd, exponents, 0) or 1  # gcd(*...) held MBs on 3.11
+    _, rem = _divmod(f_bar[::d], g_bar[::d], p)
     return not rem
 
 

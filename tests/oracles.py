@@ -1,18 +1,47 @@
 """Oracles and seeded random inputs shared by the test modules.
 
-j_skein (J by the skein recursion) and _float_invariant (Z_N as a
-complex-double sum) are brute-force definitions the package's fast
-paths are checked against; production code never calls them.
+j_skein (J by the skein recursion), j_hecke_dicts (J in the Hecke
+algebra on {exponent: coefficient} dicts) and _float_invariant (Z_N as a
+complex-double sum) are plain definitions the package's fast paths are
+checked against; production code never calls them.
 """
 
 import cmath
+import functools
 import itertools
 import random
 from typing import Sequence
 
-from cycloquant.links import _LOOP, _SMOOTH_NEG, _SMOOTH_POS, _SWITCH_NEG, _SWITCH_POS, BraidWord
-from cycloquant.links import LinkingMatrix, closure_components, signature_counts
+from cycloquant.links import BraidWord, LinkingMatrix, closure_components, signature_counts
 from cycloquant.rings import LaurentPoly, RecursionBudgetExceeded
+
+# the skein relation A^9 J(L+) - A^-9 J(L-) = (A^3 - A^-3) J(L0) at one
+# crossing, solved for the positive and for the negative crossing, and a loop
+_LOOP = LaurentPoly({-6: 1, 0: 1, 6: 1})
+_SWITCH_POS = LaurentPoly.monomial(-18)
+_SMOOTH_POS = LaurentPoly({-6: 1, -12: -1})
+_SWITCH_NEG = LaurentPoly.monomial(18)
+_SMOOTH_NEG = LaurentPoly({6: 1, 12: -1})
+
+# the fifteen reduced powers of A in the level-5 quotient, frozen byte-exact
+REDUCED_POWERS_LEVEL_5 = (
+    "1",
+    "A",
+    "A^2",
+    "A^3",
+    "A^4",
+    "A^5",
+    "A^6",
+    "A^7",
+    "-1 + A - A^3 + A^4 - A^5 + A^7",
+    "-1 + A^2 - A^3 - A^6 + A^7",
+    "-1 - A^5",
+    "-A - A^6",
+    "-A^2 - A^7",
+    "1 - A - A^4 + A^5 - A^7",
+    "1 - A^2 + A^3 - A^4 + A^6 - A^7",
+)
+
 
 # ---------------------------------------------------------------------------
 # random inputs
@@ -78,7 +107,7 @@ def _float_invariant(rows: list[list[int]], n: int) -> complex:
         for l in itertools.product(range(n), repeat=m)
     )
     g = sum(w ** (k * k % n) for k in range(n))
-    sig = signature_counts(LinkingMatrix.from_rows(rows))
+    sig = signature_counts(LinkingMatrix(rows))
     return (
         n ** (-sig.nullity / 2)
         * bracket
@@ -220,3 +249,74 @@ def j_skein(
             memo[key] = plan[1] * memo[kids[0]] + plan[3] * memo[kids[1]]
         stack.pop()
     return memo[root]
+
+
+# ---------------------------------------------------------------------------
+# J as the Markov trace on the Hecke algebra H_n, with every coefficient an
+# {exponent: integer} dict in A; the same algebra as j_invariant without
+# packed coefficients or budgets. Linear in word length, so it reaches the
+# long words j_skein cannot.
+
+_HECKE_STEP = {  # letter sign -> (smoothing terms, switch exponent)
+    1: (_SMOOTH_POS.terms(), _SWITCH_POS.min_exp),
+    -1: (_SMOOTH_NEG.terms(), _SWITCH_NEG.min_exp),
+}
+
+
+def _add_scaled(acc: dict, c: dict, terms) -> None:
+    """acc += c * sum(f A^d for d, f in terms)."""
+    for d, f in terms:
+        for e, x in c.items():
+            acc[e + d] = acc.get(e + d, 0) + f * x
+
+
+def _times_letter_dicts(elem: dict, g: int) -> dict:
+    """elem * T_g for g > 0, elem * T_{-g}^-1 for g < 0."""
+    i = abs(g)
+    smooth, switch = _HECKE_STEP[1 if g > 0 else -1]
+    out = {}
+    for w, c in elem.items():
+        ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+        if (w[i - 1] < w[i]) == (g > 0):
+            if ws not in elem:
+                out[ws] = c
+            continue
+        acc = dict(elem.get(ws, ()))
+        _add_scaled(acc, c, smooth)
+        acc = {e: x for e, x in acc.items() if x}
+        if acc:
+            out[w] = acc
+        out[ws] = {e + switch: x for e, x in c.items()}
+    return out
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _markov_dicts(w: tuple[int, ...]) -> tuple:
+    """tr_n(T_w) as tr_{n-1} of an element of H_{n-1}, as (v, terms) pairs."""
+    n = len(w)
+    j = w[-1]
+    u = tuple(x - (x > j) for x in w[:-1])
+    if j == n - 1:
+        return ((u, _LOOP.terms()),)
+    elem = {u: {0: 1}}
+    for g in range(j + 1, n - 1):
+        elem = _times_letter_dicts(elem, g)
+    return tuple((v, tuple(c.items())) for v, c in elem.items())
+
+
+def j_hecke_dicts(b: BraidWord) -> LaurentPoly:
+    """J of the closure of b: T_g one letter at a time, then the Markov trace."""
+    elem = {tuple(range(b.strands)): {0: 1}}
+    for g in b.word:
+        elem = _times_letter_dicts(elem, g)
+    for _ in range(b.strands):
+        out: dict = {}
+        for w, c in elem.items():
+            for v, terms in _markov_dicts(w):
+                _add_scaled(out.setdefault(v, {}), c, terms)
+        elem = {}
+        for v, acc in out.items():
+            acc = {e: x for e, x in acc.items() if x}
+            if acc:
+                elem[v] = acc
+    return LaurentPoly(elem.get((), {}))

@@ -34,28 +34,9 @@ from cycloquant import (
     s2,
 )
 from oracles import _block_sum, _congruent, _float_invariant, _random_braid, _random_symmetric
-from oracles import _random_unimodular, j_skein
+from oracles import REDUCED_POWERS_LEVEL_5, _random_unimodular, j_skein
 
 ODD_LEVELS = (3, 5, 7, 9, 15)
-
-# the fifteen reduced powers of A in the level-5 quotient, frozen byte-exact
-REDUCED_POWERS_LEVEL_5 = (
-    "1",
-    "A",
-    "A^2",
-    "A^3",
-    "A^4",
-    "A^5",
-    "A^6",
-    "A^7",
-    "-1 + A - A^3 + A^4 - A^5 + A^7",
-    "-1 + A^2 - A^3 - A^6 + A^7",
-    "-1 - A^5",
-    "-A - A^6",
-    "-A^2 - A^7",
-    "1 - A - A^4 + A^5 - A^7",
-    "1 - A^2 + A^3 - A^4 + A^6 - A^7",
-)
 
 
 def _report(n: int, text: str) -> None:

@@ -39,29 +39,11 @@ from cycloquant.rings import (
     reduce,
     reduce_mod_p,
 )
+from oracles import REDUCED_POWERS_LEVEL_5
 
 GOOD_PAIRS = ((5, 11), (5, 19), (5, 29), (5, 31), (7, 13))
 # levels divisible by 3, where G_r has order 2r/3
 LEVELS_DIVISIBLE_BY_3 = ((9, 17), (15, 29), (21, 43))
-
-# the classical list of the fifteen powers of A at level 5
-POWER_LIST_LEVEL_5 = [
-    "1",
-    "A",
-    "A^2",
-    "A^3",
-    "A^4",
-    "A^5",
-    "A^6",
-    "A^7",
-    "-1 + A - A^3 + A^4 - A^5 + A^7",
-    "-1 + A^2 - A^3 - A^6 + A^7",
-    "-1 - A^5",
-    "-A - A^6",
-    "-A^2 - A^7",
-    "1 - A - A^4 + A^5 - A^7",
-    "1 - A^2 + A^3 - A^4 + A^6 - A^7",
-]
 
 
 def _one(k: int) -> CycloFraction:
@@ -79,7 +61,7 @@ def _a_power(k: int, s: int) -> CycloFraction:
 def test_powers_of_A_level_5_golden():
     got = powers_of_A_char0(5)
     assert len(got) == 15
-    expected = {reduce(parse_laurent(s), 15) for s in POWER_LIST_LEVEL_5}
+    expected = {reduce(parse_laurent(s), 15) for s in REDUCED_POWERS_LEVEL_5}
     assert set(got) == expected
     assert len(set(got)) == 15
     assert str(got[8]) == "-1 + A - A^3 + A^4 - A^5 + A^7"
@@ -480,7 +462,7 @@ def test_thm_5_1_matches_literal_power():
         p = rng.choice((2, 3, 5, 7))
         n = rng.choice([n for n in (5, 7, 9, 11, 15, 21, 25) if n % p])
         b, bbar = _periodic_pair(rng, p, rng.randint(1, 2))
-        if signature_counts(LinkingMatrix.from_rows(bbar)).nullity:
+        if signature_counts(LinkingMatrix(bbar)).nullity:
             continue
         if rng.random() < 0.3:
             b = [[rng.choice((-2, -1, 1, 2))]]

@@ -186,7 +186,7 @@ def test_assemble_matches_long_normalisation(monkeypatch):
                 rng.shuffle(diag)
                 m = len(diag)
                 d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
-                b = LinkingMatrix.from_rows(_congruent(d, _random_unimodular(rng, m)))
+                b = LinkingMatrix(_congruent(d, _random_unimodular(rng, m)))
                 assert signature_counts(b) == SigTriple(s_plus, r - s_plus, nullity)
                 terms = [(rng.randrange(n), rng.randint(-9, 9)) for _ in range(5)]
                 bracket = reduce(LaurentPoly(terms), n)

@@ -614,6 +614,35 @@ def test_laurent_ideal_membership_zero_g_falls_back_to_mod_p():
     assert not laurent_ideal_membership(LaurentPoly.monomial(2, 2), g3, 3)
 
 
+def _undivided_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
+    # f in (p, g) by one division over F_p of the cleared polynomials
+    f_bar, g_bar = rings._laurent_mod_p_cleared(f, p), rings._laurent_mod_p_cleared(g, p)
+    if not f_bar:
+        return True
+    return bool(g_bar) and not _divmod(f_bar, g_bar, p)[1]
+
+
+def test_laurent_membership_by_exponent_gcd_matches_undivided_division():
+    # pairs in Z[A^(+-d)] for d = 1, 2, 6 (J lives in Z[A^(+-6)]): members
+    # g h, likely non-members g h + A^e, and f = 0 mod p
+    rng = random.Random(167)
+    seen = set()
+    for d in (1, 2, 6):
+        for p in (2, 3, 5, 7):
+            for _ in range(60):
+                def poly(n: int) -> LaurentPoly:
+                    return LaurentPoly([(d * rng.randint(-5, 5), rng.randint(-4, 4))
+                                        for _ in range(n)])
+
+                g, h = poly(rng.randint(1, 4)), poly(3)
+                kind = rng.randrange(3)
+                f = (g * h, g * h + LaurentPoly.monomial(d * rng.randint(-9, 9)), p * h)[kind]
+                got = laurent_ideal_membership(f, g, p)
+                assert got == _undivided_membership(f, g, p), (f, g, p)
+                seen.add((d, got))
+    assert seen == {(d, v) for d in (1, 2, 6) for v in (True, False)}
+
+
 # ---------------------------------------------------------------------------
 # complex oracle
 
