@@ -17,7 +17,11 @@ prime-power factor q = p^e of N and multiplies one-variable sums
 instead. A block with no unit pivot is p times a form C', and its sum
 over l mod p^e is p^k times the sum of the scaled form p C' over
 l mod p^(e-1) (Jordan splitting), so the elimination goes on at the
-lower power and no path enumerates vectors.
+lower power and no path enumerates vectors. With step = N/q, every
+exponent of p's sums is a multiple of step (CRT), so they are
+polynomials in B = A^step with B^q = 1: they are multiplied in
+Z[B]/(B^q - 1), at most q coefficients, and each prime's product is
+reduced mod Phi_N once.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Iterable
 from .gauss import gauss_sum
 from .links import LinkingMatrix, _as_matrix, _symmetric_eliminate, signature_counts
 from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, prime_factors, reduce
+from .rings import _cyclic_mul
 
 # ---------------------------------------------------------------------------
 # the value type
@@ -109,7 +114,12 @@ def _require_odd(n: int) -> None:
 
 
 def bracket_sum(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> CycloElem:
-    """Sum of A^(l^T B l) over all l in (Z/N)^m, exactly."""
+    """Sum of A^(l^T B l) over all l in (Z/N)^m, exactly.
+
+    Every one of the N^m vectors is visited: the first m - 1 coordinates
+    by recursion, carrying the value so far and the cross terms it leaves
+    on the later coordinates, and the last coordinate by one loop.
+    """
     _require_odd(n)
     b = _as_matrix(matrix)
     m = b.size
@@ -117,15 +127,21 @@ def bracket_sum(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> Cycl
     counts = [0] * n
 
     def descend(i: int, lin: list[int], val: int) -> None:
-        if i == m:
-            counts[val] += 1
+        d = rows[i][i]
+        if i == m - 1:
+            two_lin = 2 * lin[i]
+            for x in range(n):
+                counts[(val + (d * x + two_lin) * x) % n] += 1
             return
         for x in range(n):
-            new_val = (val + rows[i][i] * x * x + 2 * x * lin[i]) % n
+            new_val = (val + (d * x + 2 * lin[i]) * x) % n
             new_lin = [(lin[j] + rows[i][j] * x) % n for j in range(m)]
             descend(i + 1, new_lin, new_val)
 
-    descend(0, [0] * m, 0)
+    if m:
+        descend(0, [0] * m, 0)
+    else:
+        counts[0] = 1
     return reduce(LaurentPoly({e: c for e, c in enumerate(counts) if c}), n)
 
 
@@ -157,23 +173,28 @@ def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
         q = p
         while n % (q * p) == 0:
             q *= p
-        cofactor = n // q
-        # idempotent: 1 mod q, 0 mod n/q
-        scale = cofactor * pow(cofactor, -1, q) % n
+        step = n // q
+        # the idempotent step * s is 1 mod q and 0 mod step, so every term
+        # is a power of B = A^step, and B^q = 1
+        s = pow(step, -1, q)
         rows = matrix.rows()
-        part = CycloElem.one(n)
-        while rows and q > 1:
-            pivots, rows = _symmetric_eliminate(rows, q, p)
+        part = [1] + [0] * (q - 1)
+        level = q
+        while rows and level > 1:
+            pivots, rows = _symmetric_eliminate(rows, level, p)
             for a in pivots:
-                part = part * gauss_sum(scale * a, q, n)
-            # the residual is p C' for a form C', and scale * q = 0 mod n,
-            # so the sum over l mod q is p^k times the sum of
-            # A^(scale p l^T C' l) over l mod q/p
+                g, c = [0] * q, s * a % q
+                for x in range(level):
+                    g[c * x * x % q] += 1
+                part = _cyclic_mul(part, g, q)
+            # the residual is p C' for a form C', and s * level = 0 mod q,
+            # so the sum over l mod level is p^k times the sum of
+            # B^(s p l^T C' l) over l mod level/p
             rows = [[x // p for x in row] for row in rows]
             weight *= p ** len(rows)
-            q //= p
-            scale *= p
-        total = total * part
+            level //= p
+            s *= p
+        total = total * reduce(LaurentPoly(zip(range(0, n, step), part)), n)
     return total * weight
 
 

@@ -141,7 +141,15 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, ...]:
-    """Dense a * b mod Phi_k over Z, padded to phi(k) coefficients."""
+    """Dense a * b mod Phi_k over Z, padded to phi(k) coefficients.
+
+    Phi_k divides A^k - 1, so the product mod A^k - 1 has the same remainder.
+    """
+    return _mod_phi(_cyclic_mul(a, b, k), k)
+
+
+def _cyclic_mul(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
+    """Dense a * b in Z[A]/(A^k - 1): the product folded to at most k coefficients."""
     n = len(a) + len(b) - 1
     b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
     if (len(a) - a.count(0)) * len(b_terms) >= _KRONECKER_WORK_RATIO * (len(a) + len(b)):
@@ -152,11 +160,11 @@ def _mul_mod_phi(a: Sequence[int], b: Sequence[int], k: int) -> tuple[int, ...]:
             if ca:
                 for j, cb in b_terms:
                     conv[i + j] += ca * cb
-    folded = conv[:k]  # A^k = 1, and Phi_k divides A^k - 1
+    folded = conv[:k]  # A^k = 1
     for start in range(k, n, k):
         chunk = conv[start : start + k]
         folded[: len(chunk)] = [x + y for x, y in zip(folded, chunk)]
-    return _mod_phi(folded, k)
+    return folded
 
 
 def _mod_phi(f: list[int], k: int) -> tuple[int, ...]:
@@ -797,10 +805,20 @@ def reduce_mod_p(x: CycloElem | CycloFraction, p: int) -> ModCycloElem:
 # ideal membership
 
 
+_SPAN_BUDGET = 1 << 24  # the dense budget on a Laurent polynomial's exponent span mod p
+
+
 def _laurent_mod_p_cleared(g: LaurentPoly, p: int) -> list[int]:
-    """g mod p with the A-power content removed; [] iff g = 0 mod p."""
+    """g mod p with the A-power content removed; [] iff g = 0 mod p.
+
+    A span past _SPAN_BUDGET raises RecursionBudgetExceeded before the
+    dense list is allocated.
+    """
     nonzero = [(e, c % p) for e, c in g.terms() if c % p]  # sorted by exponent
-    dense = [0] * (nonzero[-1][0] - nonzero[0][0] + 1) if nonzero else []
+    span = nonzero[-1][0] - nonzero[0][0] + 1 if nonzero else 0
+    if span > _SPAN_BUDGET:
+        raise RecursionBudgetExceeded(f"exponent span {span} mod {p} is past {_SPAN_BUDGET}")
+    dense = [0] * span
     for e, c in nonzero:
         dense[e - nonzero[0][0]] = c
     return dense

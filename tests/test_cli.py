@@ -506,6 +506,24 @@ def test_ring_over_budget_exits_2_fast(capsys, tmp_path, argv):
     assert err.startswith("error:") and "budget" in err
 
 
+@pytest.mark.parametrize("command", ["check-thm11", "check-thm41"])
+def test_huge_prime_exits_2_fast(capsys, tmp_path, command):
+    # [3]^p - [3] spans about 12p exponents; at p = 10^9 + 7 its dense image
+    # mod p is past the span budget and refused before it is allocated
+    p = str(10**9 + 7)
+    if command == "check-thm11":
+        argv = ["--vm", "1", "--vmbar", "1", "--r", "5", "--p", p]
+    else:
+        lift = write_json(tmp_path, "lift.json", {"strands": 2, "word": [1, 1, 1]})
+        quot = write_json(tmp_path, "quot.json", {"strands": 2, "word": [1]})
+        argv = ["--lift", lift, "--quotient", quot, "--p", p]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import collections
 import random
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cycloquant import moo as moo_module
 from cycloquant.gauss import gauss_sum
 from cycloquant.links import LinkingMatrix, SigTriple, signature_counts
 from cycloquant.moo import MooValue, _assemble, bracket_sum, moo_fast, moo_invariant
@@ -20,6 +22,8 @@ from cycloquant.rings import (
     ModCycloElem,
     OrderMismatchError,
     _phi_dense,
+    _phi_reciprocal,
+    prime_factors,
     reduce,
 )
 from oracles import _block_sum, _congruent, _float_invariant, _random_symmetric, _random_unimodular
@@ -299,13 +303,68 @@ def test_moo_fast_fallback_blocks():
 
 
 def test_moo_fast_anchor_at_9009_is_fast():
-    # the 3x3 anchor with Phi_9009 warm; a kernel forced onto the schoolbook
-    # product and long division (about 5 s here) gives the same value
-    _phi_dense(9009)
-    start = time.perf_counter()
-    value = moo_fast([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 9009)
-    assert time.perf_counter() - start < 1.0
+    # the 3x3 anchor with Phi_9009 warm; its odd rank adds _assemble's
+    # product by G_N to the four primes' reductions
+    _phi_dense(9009), _phi_reciprocal(9009)
+    value, seconds = _best_of(2, moo_fast, [[2, 1, 0], [1, 3, 1], [0, 1, 4]], 9009)
+    assert seconds < 0.5
     assert str(value) == "3"
+
+
+def _tridiagonal(m: int, d: int) -> list[list[int]]:
+    return [[d if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)]
+
+
+def _best_of(runs: int, f, *args):
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        value = f(*args)
+        times.append(time.perf_counter() - start)
+    return value, min(times)
+
+
+@pytest.mark.parametrize(
+    "rows, n, want, bound",
+    [
+        (_tridiagonal(4, 2), 9009, "1", 0.15),
+        # 40 pivots per prime, the 509 sums multiplied packed in Z[B]/(B^509 - 1)
+        (_tridiagonal(40, 2), 30031, None, 1.2),
+        # q = 3481: with the schoolbook cyclic product alone it took about 3 s
+        # (Python 3.11, 2-core x86-64)
+        (_tridiagonal(6, 3), 59 * 59 * 7, None, 0.35),
+    ],
+    ids=["4x4-9009", "40-row-30031", "6x6-24367"],
+)
+def test_moo_fast_large_orders_are_fast(rows, n, want, bound):
+    # with Phi_N and its reciprocal warm, each prime's sums are multiplied
+    # in a small cyclic ring and reduced mod Phi_N once
+    _phi_dense(n), _phi_reciprocal(n)
+    value, seconds = _best_of(2, moo_fast, rows, n)
+    assert seconds < bound
+    if want is not None:
+        assert str(value) == want
+
+
+def test_bracket_fast_reduces_once_per_prime(monkeypatch):
+    # no Gauss sum and no ring product inside the pivot loop: one reduce
+    # and at most one ring product per prime power of N
+    counts = collections.Counter()
+    mul, red = CycloElem.__mul__, moo_module.reduce
+
+    def counted_mul(self, other):
+        counts["mul" if isinstance(other, CycloElem) else "scale"] += 1
+        return mul(self, other)
+
+    def counted_reduce(poly, order):
+        counts["reduce"] += 1
+        return red(poly, order)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counted_mul)
+    monkeypatch.setattr(moo_module, "reduce", counted_reduce)
+    monkeypatch.setattr(moo_module, "gauss_sum", None)
+    moo_module._bracket_fast(LinkingMatrix(_tridiagonal(12, 2)), 9009)  # 3^2 * 7 * 11 * 13
+    assert counts["reduce"] == 4 and counts["mul"] <= 4
 
 
 def test_moo_fast_residual_sweep():
@@ -323,6 +382,30 @@ def test_moo_fast_residual_sweep():
         assert moo_fast(rows, n) == moo_invariant(rows, n), (rows, n)
 
 
+@st.composite
+def prime_power_forms(draw):
+    # odd N with a prime square or cube, small enough to enumerate; a third
+    # of the forms are scaled by p or p^2 for a prime p of N, so that the
+    # elimination meets residual levels
+    n = draw(st.sampled_from((9, 25, 27, 45, 49, 63, 75, 99, 125, 147, 175, 189, 225, 343)))
+    m = draw(st.integers(1, max(k for k in (1, 2, 3) if n**k <= 20_000)))
+    entries = iter(draw(st.lists(st.integers(-6, 6), min_size=m * m, max_size=m * m)))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = next(entries)
+    if draw(st.integers(0, 2)) == 0:
+        scale = draw(st.sampled_from(sorted(prime_factors(n)))) ** draw(st.integers(1, 2))
+        rows = [[scale * x for x in row] for row in rows]
+    return rows, n
+
+
+@given(prime_power_forms())
+def test_moo_fast_matches_enumeration_at_prime_powers(case):
+    rows, n = case
+    assert moo_fast(rows, n) == moo_invariant(rows, n)
+
+
 def test_moo_fast_matches_brute_force():
     rng = random.Random(239)
     for _ in range(40):
@@ -336,9 +419,11 @@ def test_moo_fast_matches_brute_force():
 
 
 def test_moo_float_oracle():
+    # up to 4 rows at N <= 7, so bracket_sum's loop over the last
+    # coordinate runs under zero to three levels of recursion
     rng = random.Random(241)
-    for _ in range(25):
+    for _ in range(40):
         n = rng.choice(ODD_LEVELS)
-        b = _random_symmetric(rng)
+        b = _random_symmetric(rng, 4 if n <= 7 else 3)
         exact = moo_invariant(b, n).to_complex()
         assert abs(exact - _float_invariant(b, n)) < 1e-9

@@ -442,6 +442,31 @@ def test_packed_width_covers_each_operand():
     assert rings._kronecker([m] * 3, [-m] * 3, 3) == [-(m**2), -2 * m**2, -3 * m**2]
 
 
+def test_cyclic_mul_paths_agree(monkeypatch):
+    # the packed and the schoolbook convolution, each forced in turn, equal
+    # the sum over (i + j) mod q; the top coefficients of both operands are
+    # nonzero, so every product wraps past A^q = 1
+    rng = random.Random(263)
+    for q in (3, 4, 5, 7, 9, 25, 59, 121, 509, 3481):
+        for terms in (0, 1, 8, 60, q):
+            if q * terms > 300_000:
+                continue
+            a = [rng.randint(0, q**3) for _ in range(q - 1)] + [rng.randint(1, 9)]
+            b = [0] * q
+            for j in rng.sample(range(q), min(terms, q)):
+                b[j] = rng.randint(-(10**20), 10**20)
+            if terms:
+                b[-1] = rng.randint(1, 9)
+            want = [0] * q
+            for i, ca in enumerate(a):
+                for j, cb in enumerate(b):
+                    if cb:
+                        want[(i + j) % q] += ca * cb
+            for ratio in (0, 10**12):  # always packed, never packed
+                monkeypatch.setattr(rings, "_KRONECKER_WORK_RATIO", ratio)
+                assert rings._cyclic_mul(a, b, q) == want, (q, terms, ratio)
+
+
 @pytest.mark.parametrize("k", [1001, 3003])
 def test_reduce_of_k_terms_matches_sympy(k):
     sympy = pytest.importorskip("sympy")
@@ -612,6 +637,18 @@ def test_laurent_ideal_membership_zero_g_falls_back_to_mod_p():
     g3 = _bracket3(0) * 3
     assert laurent_ideal_membership(LaurentPoly.monomial(2, 9), g3, 3)
     assert not laurent_ideal_membership(LaurentPoly.monomial(2, 2), g3, 3)
+
+
+def test_laurent_span_budget(monkeypatch):
+    # a span past the budget is refused before the dense list is built;
+    # terms that vanish mod p do not count
+    monkeypatch.setattr(rings, "_SPAN_BUDGET", 10)
+    g = LaurentPoly({-4: 1, 5: 2, 9: 7})
+    assert rings._laurent_mod_p_cleared(g, 7) == [1] + [0] * 8 + [2]
+    with pytest.raises(rings.RecursionBudgetExceeded):
+        rings._laurent_mod_p_cleared(LaurentPoly({-4: 1, 6: 2}), 7)
+    with pytest.raises(rings.RecursionBudgetExceeded):
+        laurent_ideal_membership(LaurentPoly({0: 1, 10: 1}), LaurentPoly({0: 1}), 7)
 
 
 def _undivided_membership(f: LaurentPoly, g: LaurentPoly, p: int) -> bool:
