@@ -15,28 +15,14 @@ deterministic: identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .criteria import (
-    LENS_SPACE_2_1_LEVEL_5,
-    ObstructionVerdict,
-    check_cor_1_2,
-    check_thm_1_1,
-    check_thm_4_1,
-    check_thm_5_1,
-    powers_of_A_char0,
-)
+# the package registers its modules lazily: reached through module
+# attributes at call time, criteria, links and moo are executed only by
+# the commands that call them
+from . import criteria, links, moo
 from .gauss import g_r, gauss_sum, quantum_int
-from .links import (
-    FramedBraidLink,
-    LinkingMatrix,
-    j_invariant,
-    linking_matrix,
-    signature_counts,
-)
-from .moo import moo_fast
 from .rings import (
     DenominatorNotInvertibleError,
     NotAUnitError,
@@ -48,6 +34,7 @@ from .rings import (
     reduce,
 )
 
+# json.JSONDecodeError is a ValueError
 _ERRORS = (
     ValueError,
     KeyError,
@@ -57,11 +44,12 @@ _ERRORS = (
     ZeroDivisionError,
     RecursionBudgetExceeded,
     OSError,
-    json.JSONDecodeError,
 )
 
 
 def _load_json(path: str) -> dict:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -69,15 +57,15 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_braid(path: str) -> FramedBraidLink:
-    return FramedBraidLink.from_dict(_load_json(path))
+def _load_braid(path: str) -> links.FramedBraidLink:
+    return links.FramedBraidLink.from_dict(_load_json(path))
 
 
-def _load_matrix(path: str) -> LinkingMatrix:
-    return LinkingMatrix.from_dict(_load_json(path))
+def _load_matrix(path: str) -> links.LinkingMatrix:
+    return links.LinkingMatrix.from_dict(_load_json(path))
 
 
-def _verdict_exit(verdict: ObstructionVerdict) -> int:
+def _verdict_exit(verdict: criteria.ObstructionVerdict) -> int:
     if verdict.satisfied:
         w = verdict.witness
         print(f"CONSISTENT epsilon={w.epsilon} s={w.s} alpha={w.alpha}")
@@ -118,24 +106,26 @@ def _cmd_gr(args) -> int:
 
 
 def _cmd_powers(args) -> int:
-    for s, elem in enumerate(powers_of_A_char0(args.r)):
+    for s, elem in enumerate(criteria.powers_of_A_char0(args.r)):
         print(f"A^{s} = {elem}")
     return 0
 
 
 def _cmd_jinv(args) -> int:
     link = _load_braid(args.braid)
-    print(j_invariant(link.braid))
+    print(links.j_invariant(link.braid))
     return 0
 
 
 def _cmd_lkmatrix(args) -> int:
-    print(json.dumps(linking_matrix(_load_braid(args.braid)).to_dict()))
+    import json
+
+    print(json.dumps(links.linking_matrix(_load_braid(args.braid)).to_dict()))
     return 0
 
 
 def _cmd_signature(args) -> int:
-    sig = signature_counts(_load_matrix(args.matrix))
+    sig = links.signature_counts(_load_matrix(args.matrix))
     print(f"sigma_plus = {sig.sigma_plus}")
     print(f"sigma_minus = {sig.sigma_minus}")
     print(f"nullity = {sig.nullity}")
@@ -143,25 +133,25 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_moo(args) -> int:
-    print(moo_fast(_load_matrix(args.matrix), args.n))
+    print(moo.moo_fast(_load_matrix(args.matrix), args.n))
     return 0
 
 
 def _cmd_check_cor12(args) -> int:
     v = parse_ring_element(args.v, 3 * args.r)
-    return _verdict_exit(check_cor_1_2(v, args.r, args.p))
+    return _verdict_exit(criteria.check_cor_1_2(v, args.r, args.p))
 
 
 def _cmd_check_thm11(args) -> int:
     vm = parse_ring_element(args.vm, 3 * args.r)
     vmbar = parse_ring_element(args.vmbar, 3 * args.r)
-    return _verdict_exit(check_thm_1_1(vm, vmbar, args.r, args.p))
+    return _verdict_exit(criteria.check_thm_1_1(vm, vmbar, args.r, args.p))
 
 
 def _cmd_check_thm41(args) -> int:
     lift = _load_braid(args.lift)
     quotient = _load_braid(args.quotient)
-    if check_thm_4_1(lift.braid, quotient.braid, args.p):
+    if criteria.check_thm_4_1(lift.braid, quotient.braid, args.p):
         print("CONSISTENT")
         return 0
     print("OBSTRUCTED")
@@ -171,17 +161,18 @@ def _cmd_check_thm41(args) -> int:
 def _cmd_check_thm51(args) -> int:
     b = _load_matrix(args.b)
     bbar = _load_matrix(args.bbar)
-    return _verdict_exit(check_thm_5_1(b, bbar, args.p, args.n))
+    return _verdict_exit(criteria.check_thm_5_1(b, bbar, args.p, args.n))
 
 
 def _cmd_repro_remark13(args) -> int:
     print(f"Phi_15 = {cyclotomic_poly(15)}")
-    for s, elem in enumerate(powers_of_A_char0(5)):
+    for s, elem in enumerate(criteria.powers_of_A_char0(5)):
         print(f"A^{s} = {elem}")
-    print(f"I_5(L(2,1)) = {LENS_SPACE_2_1_LEVEL_5}")
+    lens = criteria.LENS_SPACE_2_1_LEVEL_5
+    print(f"I_5(L(2,1)) = {lens}")
     obstructed = 0
     for p in (11, 19, 29, 31):
-        verdict = check_cor_1_2(LENS_SPACE_2_1_LEVEL_5, 5, p)
+        verdict = criteria.check_cor_1_2(lens, 5, p)
         if verdict.satisfied:
             w = verdict.witness
             print(f"p = {p}: CONSISTENT epsilon={w.epsilon} s={w.s} alpha={w.alpha}")
@@ -203,99 +194,102 @@ def _cmd_repro_remark13(args) -> int:
 # parser
 
 _FAST_HELP = "accepted and ignored: Z_N is always computed by the fast path"
+_FAST = (("--fast",), {"action": "store_true", "help": _FAST_HELP})
+_R = (("--r",), {"type": int, "required": True})
+_P = (("--p",), {"type": int, "required": True})
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _file(flag: str) -> tuple:
+    return ((flag,), {"required": True, "metavar": "FILE"})
+
+
+# name -> (help, handler, arguments as (flags, keyword arguments))
+_COMMANDS = {
+    "phi": ("print the k-th cyclotomic polynomial", _cmd_phi, [(("k",), {"type": int})]),
+    "reduce": (
+        "reduce a Laurent polynomial into a quotient",
+        _cmd_reduce,
+        [(("--order",), {"type": int, "required": True}), (("--poly",), {"required": True})],
+    ),
+    "qint": (
+        "quantum integer [n] in a quotient",
+        _cmd_qint,
+        [(("n",), {"type": int}), (("--order",), {"type": int, "required": True})],
+    ),
+    "gauss": (
+        "quadratic sum of A^(a j^2), j < n",
+        _cmd_gauss,
+        [((f"--{x}",), {"type": int, "required": True}) for x in ("a", "n", "order")],
+    ),
+    "gr": ("the ratio G_r and its recorded sign", _cmd_gr, [_R]),
+    "powers": ("reduced powers of A at level r", _cmd_powers, [_R]),
+    "jinv": ("J invariant of a braid closure", _cmd_jinv, [_file("--braid")]),
+    "lkmatrix": ("linking matrix of a framed braid closure", _cmd_lkmatrix, [_file("--braid")]),
+    "signature": ("exact inertia of a symmetric matrix", _cmd_signature, [_file("--matrix")]),
+    "moo": (
+        "the surgery invariant Z_N of a linking matrix",
+        _cmd_moo,
+        [(("--n",), {"type": int, "required": True}), _file("--matrix"), _FAST],
+    ),
+    "check-cor12": (
+        "branched cyclic cover obstruction",
+        _cmd_check_cor12,
+        [(("--v",), {"required": True, "help": "invariant value at order 3r"}), _R, _P],
+    ),
+    "check-thm11": (
+        "periodic manifold congruence",
+        _cmd_check_thm11,
+        [
+            (("--vm",), {"required": True, "help": "invariant value of M"}),
+            (("--vmbar",), {"required": True, "help": "invariant value of the quotient"}),
+            _R,
+            _P,
+        ],
+    ),
+    "check-thm41": (
+        "periodic link congruence on J",
+        _cmd_check_thm41,
+        [_file("--lift"), _file("--quotient"), _P],
+    ),
+    "check-thm51": (
+        "periodic homology sphere congruence",
+        _cmd_check_thm51,
+        [_file("--b"), _file("--bbar"), _P, (("--n",), {"type": int, "required": True}), _FAST],
+    ),
+    "repro-remark13": (
+        "reproduce the lens-space branched-cover obstruction end to end",
+        _cmd_repro_remark13,
+        [],
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only `command`'s.
+
+    A parser for one command gives the subcommand list the metavar that
+    the full parser derives from its choices, so usage text is the same.
+    """
     parser = argparse.ArgumentParser(
         prog="cycloquant",
         description="Exact quantum 3-manifold invariants and periodicity tests.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phi", help="print the k-th cyclotomic polynomial")
-    p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("reduce", help="reduce a Laurent polynomial into a quotient")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("qint", help="quantum integer [n] in a quotient")
-    p.add_argument("n", type=int)
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_qint)
-
-    p = sub.add_parser("gauss", help="quadratic sum of A^(a j^2), j < n")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_gauss)
-
-    p = sub.add_parser("gr", help="the ratio G_r and its recorded sign")
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_gr)
-
-    p = sub.add_parser("powers", help="reduced powers of A at level r")
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_powers)
-
-    p = sub.add_parser("jinv", help="J invariant of a braid closure")
-    p.add_argument("--braid", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_jinv)
-
-    p = sub.add_parser("lkmatrix", help="linking matrix of a framed braid closure")
-    p.add_argument("--braid", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_lkmatrix)
-
-    p = sub.add_parser("signature", help="exact inertia of a symmetric matrix")
-    p.add_argument("--matrix", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_signature)
-
-    p = sub.add_parser("moo", help="the surgery invariant Z_N of a linking matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--matrix", required=True, metavar="FILE")
-    p.add_argument("--fast", action="store_true", help=_FAST_HELP)
-    p.set_defaults(func=_cmd_moo)
-
-    p = sub.add_parser("check-cor12", help="branched cyclic cover obstruction")
-    p.add_argument("--v", required=True, help="invariant value at order 3r")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=_cmd_check_cor12)
-
-    p = sub.add_parser("check-thm11", help="periodic manifold congruence")
-    p.add_argument("--vm", required=True, help="invariant value of M")
-    p.add_argument("--vmbar", required=True, help="invariant value of the quotient")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=_cmd_check_thm11)
-
-    p = sub.add_parser("check-thm41", help="periodic link congruence on J")
-    p.add_argument("--lift", required=True, metavar="FILE")
-    p.add_argument("--quotient", required=True, metavar="FILE")
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=_cmd_check_thm41)
-
-    p = sub.add_parser("check-thm51", help="periodic homology sphere congruence")
-    p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--bbar", required=True, metavar="FILE")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fast", action="store_true", help=_FAST_HELP)
-    p.set_defaults(func=_cmd_check_thm51)
-
-    p = sub.add_parser(
-        "repro-remark13",
-        help="reproduce the lens-space branched-cover obstruction end to end",
-    )
-    p.set_defaults(func=_cmd_repro_remark13)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # --help, a missing command and an unknown one need every subparser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from . import links, moo
 from .gauss import _require_level, quantum_int_laurent
-from .links import BraidWord, LinkingMatrix, _as_matrix, j_invariant, signature_counts
-from .moo import _require_odd, moo_fast
 from .rings import (
     CycloElem,
     CycloFraction,
@@ -98,6 +97,10 @@ def check_thm_1_1(
     divides A^k - 1, so a step alpha -> alpha + 1 is a shift by -36 mod k,
     a sign and one division by d. alpha runs below the order of G_r mod p,
     2k/gcd(36, k) (k/gcd(36, k) at p = 2), where the candidates repeat.
+
+    The test is vacuous unless p = +-1 mod r: elsewhere (p, [3]^p - [3])
+    is the unit ideal at order k, d = 1, both sides vanish, and the
+    verdict is satisfied with alpha = 0 whatever the values.
     """
     _require_level(r)
     _require_prime(p)
@@ -159,13 +162,13 @@ def check_cor_1_2(v: CycloFraction, r: int, p: int) -> ObstructionVerdict:
 # periodic links
 
 
-def check_thm_4_1(lift: BraidWord, quotient: BraidWord, p: int) -> bool:
+def check_thm_4_1(lift: links.BraidWord, quotient: links.BraidWord, p: int) -> bool:
     """Does J(lift) = J(quotient)^p hold modulo (p, [3]^p - [3])?"""
     if p == 1:
         return True
     _require_prime(p)
     # the Frobenius A -> A^p stands in for the p-th power: equal mod p
-    f = j_invariant(lift) - j_invariant(quotient).subst_power(p)
+    f = links.j_invariant(lift) - links.j_invariant(quotient).subst_power(p)
     return laurent_ideal_membership(f, _periodicity_generator(p), p)
 
 
@@ -174,8 +177,8 @@ def check_thm_4_1(lift: BraidWord, quotient: BraidWord, p: int) -> bool:
 
 
 def check_thm_5_1(
-    matrix: LinkingMatrix | Iterable[Iterable[int]],
-    matrix_bar: LinkingMatrix | Iterable[Iterable[int]],
+    matrix: links.LinkingMatrix | Iterable[Iterable[int]],
+    matrix_bar: links.LinkingMatrix | Iterable[Iterable[int]],
     p: int,
     n: int,
     *,
@@ -187,18 +190,18 @@ def check_thm_5_1(
     p = 1 is accepted as the degenerate identity case. Z_N is always
     computed by moo_fast; `fast` is accepted and ignored.
     """
-    matrix, matrix_bar = _as_matrix(matrix), _as_matrix(matrix_bar)
-    _require_odd(n)
+    matrix, matrix_bar = links._as_matrix(matrix), links._as_matrix(matrix_bar)
+    moo._require_odd(n)
     for b in (matrix, matrix_bar):
-        if signature_counts(b).nullity != 0:
+        if links.signature_counts(b).nullity != 0:
             raise ValueError("linking matrix must be nondegenerate")
     if p == 1:
         return ObstructionVerdict(True, Witness(1, 0, 0), (n, 1))
     _require_prime(p)
     if math.gcd(n, p) != 1:
         raise ValueError(f"need gcd({n}, {p}) = 1")
-    z = moo_fast(matrix, n)
-    z_bar = moo_fast(matrix_bar, n)
+    z = moo.moo_fast(matrix, n)
+    z_bar = moo.moo_fast(matrix_bar, n)
     z_p = reduce_mod_p(z.value, p)
     # the Frobenius A -> A^p stands in for the p-th power: equal mod p
     z_bar_pow = reduce_mod_p(z_bar.value.galois(p), p)

@@ -493,20 +493,35 @@ def strong_periodicity_check(
 
     Builds the lift and checks that every lifted component's linking
     number with the braid axis (its strand count) is divisible by p.
-    Lift components inherit the framing of the quotient component they
-    cover. Note that in the braid model every component links the axis
-    at least once, so a quotient made of split unknotted strands never
+    Note that in the braid model every component links the axis at
+    least once, so a quotient made of split unknotted strands never
     passes for p >= 2.
+
+    The lift's framings follow from the transfer identity. Let the
+    quotient component K have framing f, and let K_1, ..., K_m be its
+    lifts. The preimage of a parallel of K is the parallels of the K_i,
+    and a linking number pulls back to p times itself, so the sum of
+    lk(K_i, K_j) over all i, j is p * f, and by the rotation every row
+    sum over the fibre is f. Each K_i therefore gets the framing
+    f - sum of lk(K_i, K_j) over the other lifts K_j of K. With the
+    quotient's framing instead, the two linking matrices are not a
+    Theorem 5.1 pair, and check_thm_5_1 falsely obstructs many of them.
     """
     if p < 2:
         raise ValueError("periodicity order must be >= 2")
     quotient_comps = closure_components(b)
     if len(framings) != len(quotient_comps):
         raise ValueError("framing vector length must match quotient components")
+    framings = FramedBraidLink(b, framings).framings  # integers only
     q_comp_of = _component_of(quotient_comps)
     lift = periodic_lift(b, p)
     lift_comps = closure_components(lift)
-    lifted_framings = tuple(framings[q_comp_of[cycle[0]]] for cycle in lift_comps)
+    fibre = [q_comp_of[cycle[0]] for cycle in lift_comps]
+    lk = linking_matrix(FramedBraidLink(lift, [0] * len(lift_comps))).rows()
+    lifted_framings = tuple(
+        framings[c] - sum(lk[i][j] for j, d in enumerate(fibre) if d == c and j != i)
+        for i, c in enumerate(fibre)
+    )
     ok = all(len(cycle) % p == 0 for cycle in lift_comps)
     return StrongPeriodicityResult(ok, FramedBraidLink(lift, lifted_framings))
 

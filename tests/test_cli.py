@@ -5,6 +5,8 @@ output bytes are both visible. Golden outputs are frozen here; every
 printed ring element must reparse to an equal value.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -26,7 +28,7 @@ from cycloquant import (
     quantum_int,
     reduce,
 )
-from cycloquant.cli import main
+from cycloquant.cli import _COMMANDS, _build_parser, main
 from cycloquant.moo import moo_invariant
 
 
@@ -560,6 +562,62 @@ def test_braid_missing_strands_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "jinv", "--braid", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+
+# ---------------------------------------------------------------------------
+# the parser: main builds only the named command's subparser, and every
+# subparser for --help, a missing command and an unknown one; both give
+# the same usage, help and error text
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr) of parsing argv, or (None, namespace, "")."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return None, vars(namespace), ""
+
+
+def _valid_argv(command):
+    argv = [command]
+    for flags, kwargs in _COMMANDS[command][2]:
+        if not flags[0].startswith("-"):
+            argv.append("1")
+        elif kwargs.get("required"):
+            argv += [flags[0], "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_subparser_parses_as_all_do(command):
+    valid = _valid_argv(command)
+    cases = [
+        [command],  # missing arguments, if any
+        [command, "--help"],
+        valid,
+        [*valid, "--no-such-flag"],  # the top-level usage, with every command
+        [*valid, "extra"],
+    ]
+    if len(valid) > 1:
+        cases.append([*valid[:-1], "x"])  # a bad value for the last argument
+    for argv in cases:
+        assert _parse(_build_parser(command), argv) == _parse(_build_parser(), argv), argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"], ["--no-such-flag"]])
+def test_main_without_a_command_prints_the_full_parser(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    want_code, want_out, want_err = _parse(_build_parser(), argv)
+    assert (code, out, err) == (0 if want_code == 0 else 2, want_out, want_err)
+    text = "".join((out + err).split())  # help text wraps with the terminal
+    for name, (help_text, _, _) in _COMMANDS.items():
+        assert name in text
+        if argv == ["--help"]:
+            assert help_text.replace(" ", "") in text
 
 
 if __name__ == "__main__":

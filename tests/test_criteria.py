@@ -12,6 +12,7 @@ from cycloquant.criteria import (
     ObstructionVerdict,
     Witness,
     _g_order,
+    _periodicity_generator,
     check_cor_1_2,
     check_thm_1_1,
     check_thm_4_1,
@@ -21,10 +22,13 @@ from cycloquant.criteria import (
 from cycloquant.gauss import g_r, quantum_int_laurent
 from cycloquant.links import (
     BraidWord,
+    FramedBraidLink,
     LinkingMatrix,
     j_invariant,
+    linking_matrix,
     periodic_lift,
     signature_counts,
+    strong_periodicity_check,
 )
 from cycloquant.moo import moo_fast, moo_invariant
 from cycloquant.rings import (
@@ -114,6 +118,20 @@ def test_ideal_gcd_is_full_cyclotomic_for_good_primes():
         for e, c in cyclotomic_poly(k).terms():
             dense[e] = c % p
         assert list(ideal_gcd_poly(g, p, k)) == dense
+
+
+def test_periodicity_ideal_is_the_unit_ideal_unless_p_is_pm1_mod_r():
+    # (p, [3]^p - [3]) is proper at order 3r exactly when p = +-1 mod r;
+    # elsewhere check_thm_1_1 is vacuous and answers satisfied, alpha = 0
+    proper = 0
+    for r in range(5, 24, 2):
+        for p in range(2, 200):
+            if any(p % q == 0 for q in range(2, p)) or 3 * r % p == 0:
+                continue
+            d = ideal_gcd_poly(_periodicity_generator(p), p, 3 * r)
+            assert (len(d) > 1) == (p % r in (1, r - 1)), (r, p, d)
+            proper += len(d) > 1
+    assert proper > 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +487,37 @@ def test_thm_5_1_matches_literal_power():
         want = _thm_5_1_literal(moo_fast(b, n), moo_fast(bbar, n), p, n)
         assert check_thm_5_1(b, bbar, p, n) == want, (b, bbar, p, n)
         checked += 1
+
+
+def test_thm_5_1_holds_on_strongly_periodic_lifts():
+    # true pairs: a quotient whose components each run over p^2 strands
+    # (a chain sigma_1 ... sigma_{p^2 - 1} per component, with random
+    # sigma_i^+-2 inserted, which keep the permutation) has a strongly
+    # periodic p-fold lift, framed by strong_periodicity_check
+    rng = random.Random(4051)
+    checked = 0
+    for _ in range(40):
+        p = rng.choice((3, 5))
+        blocks = rng.choice((1, 2)) if p == 3 else 1
+        k = p * p
+        word = [block * k + i for block in range(blocks) for i in range(1, k)]
+        for _ in range(rng.randint(1, 4)):
+            letter = rng.choice((1, -1)) * rng.randint(1, blocks * k - 1)
+            at = rng.randint(0, len(word))
+            word[at:at] = [letter, letter]
+        b = BraidWord(blocks * k, word)
+        framings = [rng.randint(-3, 3) for _ in range(blocks)]
+        result = strong_periodicity_check(b, p, framings)
+        assert result.satisfied
+        lift = linking_matrix(result.lift)
+        quotient = linking_matrix(FramedBraidLink(b, framings))
+        if signature_counts(lift).nullity or signature_counts(quotient).nullity:
+            continue
+        for n in (5, 7, 11, 13, 25, 35):
+            if n % p:
+                assert check_thm_5_1(lift, quotient, p, n).satisfied, (word, framings, p, n)
+                checked += 1
+    assert checked >= 100
 
 
 def test_thm_5_1_validation():

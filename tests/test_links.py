@@ -538,10 +538,12 @@ def test_strong_periodicity_examples():
     assert res.satisfied == all(len(c) % 2 == 0 for c in lift_comps)
 
     # a 4-strand unknot closure whose 2-fold lift splits into two
-    # 2-strand components passes
+    # 2-strand components passes; the components link twice, so each
+    # gets the framing 5 - 2 (the transfer identity)
     res = strong_periodicity_check(BraidWord(4, (1, 2, 3)), 2, (5,))
     assert res.satisfied
-    assert res.lift.framings == (5, 5)
+    assert res.lift.framings == (3, 3)
+    assert linking_matrix(res.lift).rows() == [[3, 2], [2, 3]]
 
 
 def test_strong_periodicity_validation():
