@@ -21,7 +21,11 @@ lower power and no path enumerates vectors. With step = N/q, every
 exponent of p's sums is a multiple of step (CRT), so they are
 polynomials in B = A^step with B^q = 1: they are multiplied in
 Z[B]/(B^q - 1), at most q coefficients, and each prime's product is
-reduced mod Phi_N once.
+reduced mod Phi_N once. By CRT, G_N is itself the product over q of
+the sums of B^(s x^2) over x mod q, with s = step^-1 mod q. So for odd
+rank the fast path starts each prime's product from that sum, and
+G_N^(r mod 2) costs no product at order N. The oracle moo_invariant
+keeps G_N from gauss_sum(1, N, N).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .gauss import gauss_sum
-from .links import LinkingMatrix, _as_matrix, _symmetric_eliminate, signature_counts
+from .links import LinkingMatrix, SigTriple, _as_matrix, _symmetric_eliminate, signature_counts
 from .rings import CycloElem, CycloFraction, LaurentPoly, _Record, prime_factors, reduce
 from .rings import _cyclic_mul
 
@@ -145,14 +149,21 @@ def bracket_sum(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> Cycl
     return reduce(LaurentPoly({e: c for e, c in enumerate(counts) if c}), n)
 
 
-def _assemble(bracket: CycloElem, matrix: LinkingMatrix, n: int) -> MooValue:
-    sig = signature_counts(matrix)
-    r = sig.sigma_plus + sig.sigma_minus
+def _normalise(num: CycloElem, sig: SigTriple, n: int) -> MooValue:
     # conj(G_N) = chi G_N and G_N^2 = chi N with chi = (-1/N), so
-    # conj(G_N)^s+ G_N^s- / N^r = chi^(s+ + r//2) G_N^(r mod 2) / N^ceil(r/2)
-    num = bracket * gauss_sum(1, n, n) if r % 2 else bracket
+    # conj(G_N)^s+ G_N^s- / N^r = chi^(s+ + r//2) G_N^(r mod 2) / N^ceil(r/2);
+    # num is the bracket times G_N^(r mod 2)
+    r = sig.sigma_plus + sig.sigma_minus
     num = num * (-1 if n % 4 == 3 else 1) ** (sig.sigma_plus + r // 2)
     return MooValue(CycloFraction(num, n ** ((r + 1) // 2)), sig.nullity)
+
+
+def _assemble(bracket: CycloElem, matrix: LinkingMatrix, n: int) -> MooValue:
+    sig = signature_counts(matrix)
+    # G_N by its definition, so that the oracle does not share the fast
+    # path's per-prime fold
+    odd = (sig.sigma_plus + sig.sigma_minus) % 2
+    return _normalise(bracket * gauss_sum(1, n, n) if odd else bracket, sig, n)
 
 
 def moo_invariant(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValue:
@@ -166,7 +177,8 @@ def moo_invariant(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> Mo
 # fast path: CRT plus symmetric elimination and p-adic splitting
 
 
-def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
+def _bracket_fast(matrix: LinkingMatrix, n: int, times_gauss: bool) -> CycloElem:
+    # the bracket, times G_N if times_gauss
     total = CycloElem.one(n)
     weight = 1
     for p in sorted(prime_factors(n)):
@@ -178,7 +190,13 @@ def _bracket_fast(matrix: LinkingMatrix, n: int) -> CycloElem:
         # is a power of B = A^step, and B^q = 1
         s = pow(step, -1, q)
         rows = matrix.rows()
+        # p's share of G_N is the sum of B^(s x^2) over x mod q, with s
+        # taken at level q, before the residual levels rescale it
         part = [1] + [0] * (q - 1)
+        if times_gauss:
+            part = [0] * q
+            for x in range(q):
+                part[s * x * x % q] += 1
         level = q
         while rows and level > 1:
             pivots, rows = _symmetric_eliminate(rows, level, p)
@@ -202,5 +220,6 @@ def moo_fast(matrix: LinkingMatrix | Iterable[Iterable[int]], n: int) -> MooValu
     """Same value as moo_invariant, via per-prime-power diagonalization."""
     _require_odd(n)
     b = _as_matrix(matrix)
-    return _assemble(_bracket_fast(b, n), b, n)
+    sig = signature_counts(b)
+    return _normalise(_bracket_fast(b, n, (sig.sigma_plus + sig.sigma_minus) % 2 == 1), sig, n)
 

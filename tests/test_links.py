@@ -519,6 +519,45 @@ def test_lift_rotation_is_permutation_preserving_linking():
                 assert mat[rho[i]][rho[j]] == mat[i][j]
 
 
+def test_lift_linking_across_fibres_is_p_times_quotient_linking():
+    # every crossing of the quotient occurs p times in the lift, so for
+    # distinct quotient components A and B the sum of lk(K_i, K_j) over
+    # the lifts K_i of A and K_j of B is p lk(A, B); each component is a
+    # chain over 1, 2 or p strands (one lift, or p lifts when it runs
+    # over p strands), with random sigma_i^+-2 that keep the permutation
+    rng = random.Random(4057)
+    split = linked = 0
+    for _ in range(60):
+        p = rng.choice((3, 5))
+        sizes = [rng.choice((1, 2, p)) for _ in range(rng.randint(2, 3))]
+        word, start = [], 0
+        for k in sizes:
+            word += range(start + 1, start + k)
+            start += k
+        for _ in range(rng.randint(1, 6)):
+            letter = rng.choice((1, -1)) * rng.randint(1, start - 1)
+            at = rng.randint(0, len(word))
+            word[at:at] = [letter, letter]
+        b = BraidWord(start, word)
+        comps = closure_components(b)
+        assert len(comps) == len(sizes)
+        comp_of = {s: c for c, cycle in enumerate(comps) for s in cycle}
+        lifted = periodic_lift(b, p)
+        lift_comps = closure_components(lifted)
+        fibre = [comp_of[cycle[0]] for cycle in lift_comps]
+        quotient = linking_matrix(FramedBraidLink(b, [0] * len(comps))).rows()
+        lift = linking_matrix(FramedBraidLink(lifted, [0] * len(lift_comps))).rows()
+        for a, c in itertools.permutations(range(len(comps)), 2):
+            total = sum(
+                lift[i][j] for i, fa in enumerate(fibre) for j, fc in enumerate(fibre)
+                if (fa, fc) == (a, c)
+            )
+            assert total == p * quotient[a][c], (word, p, a, c)
+            linked += quotient[a][c] != 0
+        split += len(lift_comps) > len(comps)
+    assert split >= 20 and linked >= 20
+
+
 def test_strong_periodicity_examples():
     # the 3-fold lift of a 2-strand unknot closure is the trefoil,
     # one component on 2 strands: 2 is not divisible by 3

@@ -303,8 +303,8 @@ def test_moo_fast_fallback_blocks():
 
 
 def test_moo_fast_anchor_at_9009_is_fast():
-    # the 3x3 anchor with Phi_9009 warm; its odd rank adds _assemble's
-    # product by G_N to the four primes' reductions
+    # the 3x3 anchor with Phi_9009 warm; its odd rank seeds each prime's
+    # part with that prime's share of G_N, so no product by G_N follows
     _phi_dense(9009), _phi_reciprocal(9009)
     value, seconds = _best_of(2, moo_fast, [[2, 1, 0], [1, 3, 1], [0, 1, 4]], 9009)
     assert seconds < 0.5
@@ -363,8 +363,39 @@ def test_bracket_fast_reduces_once_per_prime(monkeypatch):
     monkeypatch.setattr(CycloElem, "__mul__", counted_mul)
     monkeypatch.setattr(moo_module, "reduce", counted_reduce)
     monkeypatch.setattr(moo_module, "gauss_sum", None)
-    moo_module._bracket_fast(LinkingMatrix(_tridiagonal(12, 2)), 9009)  # 3^2 * 7 * 11 * 13
+    moo_module._bracket_fast(LinkingMatrix(_tridiagonal(12, 2)), 9009, False)  # 3^2 * 7 * 11 * 13
     assert counts["reduce"] == 4 and counts["mul"] <= 4
+    # odd rank: G_N rides the same four reductions, and moo_fast makes
+    # no further ring product
+    counts.clear()
+    assert str(moo_fast(_tridiagonal(11, 2), 9009)) == "-1 - 2A^3003"
+    assert counts["reduce"] == 4 and counts["mul"] <= 4
+
+
+def test_moo_fast_folds_gauss_sum_at_composite_levels():
+    # odd rank at N with two or three primes, one of them squared: each
+    # prime's part starts from its share of G_N, against the oracle's
+    # gauss_sum(1, N, N); a third of the forms are scaled by a prime of N
+    # (residual levels), and some have nullity 1 or 2
+    rng = random.Random(263)
+    residual = degenerate = 0
+    for _ in range(60):
+        n = rng.choice((45, 63, 75, 99, 225, 315))
+        m = rng.randint(1, 3 if n**3 <= 100_000 else 2)
+        r = rng.choice(range(1, m + 1, 2))
+        diag = [rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(r)] + [0] * (m - r)
+        rng.shuffle(diag)
+        d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
+        rows = _congruent(d, _random_unimodular(rng, m))
+        if rng.randrange(3) == 0:
+            p = rng.choice(sorted(prime_factors(n)))
+            rows = [[p * x for x in row] for row in rows]
+            residual += 1
+        sig = signature_counts(rows)
+        assert (sig.sigma_plus + sig.sigma_minus) % 2 == 1
+        degenerate += sig.nullity > 0
+        assert moo_fast(rows, n) == moo_invariant(rows, n), (rows, n)
+    assert residual >= 10 and degenerate >= 10
 
 
 def test_moo_fast_residual_sweep():
